@@ -12,11 +12,10 @@ telemetry, held to the same bar:
   ``if telemetry is not None`` guard, so the off path adds only those
   identity compares;
 * **enabled overhead (reported)** — a profiled pass (worker tracer,
-  per-phase histograms, shard-plan payload, pickle accounting) is
-  measured against the off arm and reported for information.  The
-  enabled cost is dominated by shipping the worker's event list and the
-  plan payload, which is exactly the data the observatory exists to
-  collect.
+  per-phase histograms, pickle accounting) is measured against the off
+  arm and reported for information.  The enabled cost is dominated by
+  shipping the worker's event list, which is exactly the data the
+  observatory exists to collect.
 
 Measurement runs at **jobs=1** — the in-process path, single-threaded
 and deterministic.  Pool passes at jobs>1 pay fork/IPC costs that
@@ -24,7 +23,7 @@ jitter by far more than a 2% budget between *identical* configurations,
 which would drown the gate; jobs=1 runs the very same ``_worker_run``
 body (the instrumented code this check gates) with zero pool noise.
 (The jobs>1 path gets its own CI coverage via the parallel-profile
-job's speedup assertion.)  The protocol is the
+job's merged-trace and worker-telemetry assertions.)  The protocol is the
 ``bench_serve_telemetry`` one: the two disabled-path buckets are
 alternating passes whose order flips every round (position effects
 cancel), each bucket is scored by its **median** pass (a lucky
@@ -161,8 +160,8 @@ def main(argv=None) -> int:
     print(f"disabled-path gap       : {disabled_gap:.2%} "
           f"(budget {DISABLED_BUDGET:.0%} — the trace-overhead bar)")
     print(f"enabled overhead        : {enabled_overhead:+.2%} "
-          f"(informational — the worker tracer, phase histograms and "
-          f"shard-plan payload are the product)")
+          f"(informational — the worker tracer and phase histograms "
+          f"are the product)")
     if args.check and disabled_gap > DISABLED_BUDGET:
         print("FAIL: disabled profiling is not free (off-path timings "
               "disagree beyond budget)", file=sys.stderr)

@@ -1,35 +1,30 @@
-"""Demand-driven analysis: query-rooted points-to without re-indexing.
+"""Demand-driven analysis: answers for stale stores without re-indexing.
 
 The exhaustive pipeline (``repro index`` -> store -> ``repro query``)
 answers every question from facts computed once, up front.  Its blind
 spot is the edit loop: one changed line makes the store stale for the
 changed procedure and all its transitive callers, and until a full
 re-index runs the daemon either refuses or silently serves outdated
-facts.  This module closes that gap with the *demand* mode the paper's
-top-down PTF scheme naturally supports (and the Lazy Pointer Analysis /
-GPG line of work makes explicit): a query needs only the PTFs on its
-demand slice — callees for summaries, callers for invocation contexts.
+facts.  This module closes that gap: a query whose stored fact is stale
+is answered from a fresh analysis of the edited sources, run lazily on
+the first query that needs it.
 
-Three layers:
+Two layers:
 
-:class:`DemandSlice` / :func:`compute_demand_slice`
-    The slice over the *static* call graph, computed on the SCC
-    condensation from :mod:`repro.analysis.scc`.  Because the analyzer
-    is rooted at the entry procedure (``main``, §2.3), the set of
-    procedures any sound answer can require is the entry shard's
-    forward closure; a target outside that closure is never analyzed —
-    by the exhaustive run either — so its answers are the empty facts,
-    no analysis needed (the *unreachable fast path*).
-
-:class:`DemandAnalysis` / :class:`DemandEngine`
-    A lazily-run analysis plus a :class:`~repro.query.engine.QueryEngine`
-    subclass that materializes per-procedure index records from it on
-    first touch, through the *same* record builders
-    (:func:`repro.query.store.procedure_record`) the indexer uses —
-    which is what makes demand answers byte-identical to what a fresh
-    ``repro index`` + store query would produce.  PTFs are memoized
-    across queries at two levels: the analysis result itself (one
-    fixpoint per source generation) and the engine's answer LRU.
+:class:`DemandAnalysis`
+    One lowered program, analyzed at most once, with per-procedure
+    index records materialized on first touch through the *same* record
+    builders (:func:`repro.query.store.procedure_record`) the indexer
+    uses — which is what makes demand answers byte-identical to what a
+    fresh ``repro index`` + store query would produce.  It is a record
+    source for :meth:`repro.query.engine.QueryEngine.over`.  The
+    analysis is the whole-program fixpoint from ``main``: Wilson–Lam
+    PTFs are created top-down, so a callee's input alias patterns are
+    only known once its callers have been evaluated.  The one shortcut
+    is the *unreachable fast path*: a procedure outside the forward
+    closure of ``main`` over :func:`demand_call_graph` is never
+    analyzed, by the exhaustive run either, so its records are the
+    empty facts and no fixpoint runs.
 
 :class:`DemandTier`
     The staleness-aware fallback wired into ``QueryEngine.query``:
@@ -39,8 +34,8 @@ Three layers:
     demand analysis (``mode: demand``) or — when disabled with
     ``--no-demand`` — lets the store answer through annotated
     ``stale: true``.  Probe state is memoized per source content, so a
-    live daemon pays one lowering + one slice analysis per edit, then
-    answers subsequent queries from cache.
+    live daemon pays one lowering + one whole-program fixpoint per
+    source generation, then answers subsequent queries from cache.
 
 Byte-identity has one process-level precondition: PTF uids (which the
 stored alias tables embed) and memory-block uids are allocated from
@@ -58,24 +53,23 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from ..query.engine import QueryEngine
-from ..query.store import STORE_FORMAT, pointed_by_index, procedure_record
+from ..query.store import pointed_by_index, procedure_record
 from .results import AnalysisResult, run_analysis
-from .scc import address_taken_procs, build_plan, static_call_graph
+from .scc import address_taken_procs, static_call_graph
 
 __all__ = [
     "DemandAnalysis",
-    "DemandEngine",
-    "DemandSlice",
     "DemandTier",
-    "compute_demand_slice",
     "demand_call_graph",
     "fresh_analysis_state",
     "options_from_store",
 ]
+
+#: the procedure every analysis is rooted at (§2.3)
+ENTRY = "main"
 
 
 def fresh_analysis_state() -> None:
@@ -107,11 +101,6 @@ def options_from_store(store: dict):
     )
 
 
-# ---------------------------------------------------------------------------
-# demand slices over the SCC condensation
-# ---------------------------------------------------------------------------
-
-
 def demand_call_graph(program) -> dict:
     """:func:`static_call_graph` widened for external higher-order calls.
 
@@ -139,130 +128,24 @@ def demand_call_graph(program) -> dict:
     return graph
 
 
-@dataclass(frozen=True)
-class DemandSlice:
-    """The procedures a query rooted at ``target`` can depend on.
-
-    ``procs`` is the analysis slice: the forward closure of the entry
-    shard on the SCC condensation — exactly the set the top-down
-    analyzer evaluates, and therefore the set whose PTFs the answer is
-    built from.  ``context_procs`` is the subset that supplies the
-    target's invocation contexts (its transitive callers within the
-    slice).  ``reachable`` is False when the target lies outside the
-    entry's closure: no context ever invokes it, the exhaustive run
-    never analyzes it, and its demand answers are the empty facts.
-    """
-
-    target: str
-    entry: str
-    reachable: bool
-    procs: tuple
-    context_procs: tuple
-    shards: int
-    waves: int
-
-
-def compute_demand_slice(
-    program, target: str, entry: str = "main", plan=None
-) -> DemandSlice:
-    """Compute the demand slice for ``target`` on the static call graph.
-
-    ``plan`` is an optional precomputed :class:`~repro.analysis.scc.ShardPlan`
-    for the program's :func:`demand_call_graph` (callers repeating
-    queries should build it once).  That graph over-approximates the
-    analysis-resolved one — indirect calls and external higher-order
-    calls widen to every address-taken procedure — so "unreachable
-    here" implies "never analyzed".
-    """
-    if plan is None:
-        plan = build_plan(demand_call_graph(program))
-    shard_of: dict[str, int] = {}
-    for i, shard in enumerate(plan.shards):
-        for name in shard.procs:
-            shard_of[name] = i
-    if entry not in shard_of or target not in shard_of:
-        return DemandSlice(
-            target=target, entry=entry, reachable=False,
-            procs=(), context_procs=(), shards=0, waves=0,
-        )
-    # forward closure of the entry shard (deps point caller -> callee)
-    closure = {shard_of[entry]}
-    frontier = [shard_of[entry]]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for dep in plan.deps.get(i, ()):
-                if dep not in closure:
-                    closure.add(dep)
-                    nxt.append(dep)
-        frontier = nxt
-    if shard_of[target] not in closure:
-        return DemandSlice(
-            target=target, entry=entry, reachable=False,
-            procs=(), context_procs=(), shards=0, waves=0,
-        )
-    procs = sorted(
-        name for i in closure for name in plan.shards[i].procs
-    )
-    # context shards: ancestors of the target within the closure
-    rdeps: dict[int, set] = {}
-    for i, deps in plan.deps.items():
-        for dep in deps:
-            rdeps.setdefault(dep, set()).add(i)
-    contexts = {shard_of[target]}
-    frontier = [shard_of[target]]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for caller in rdeps.get(i, ()):
-                if caller in closure and caller not in contexts:
-                    contexts.add(caller)
-                    nxt.append(caller)
-        frontier = nxt
-    context_procs = sorted(
-        name for i in contexts for name in plan.shards[i].procs
-    )
-    waves = sum(
-        1 for wave in plan.waves if any(i in closure for i in wave)
-    )
-    return DemandSlice(
-        target=target,
-        entry=entry,
-        reachable=True,
-        procs=tuple(procs),
-        context_procs=tuple(context_procs),
-        shards=len(closure),
-        waves=waves,
-    )
-
-
-# ---------------------------------------------------------------------------
-# lazily-run analysis + record materialization
-# ---------------------------------------------------------------------------
-
-
 class DemandAnalysis:
     """One program, analyzed at most once, with per-procedure index
     records materialized on demand.
 
-    The unreachable fast path never runs the fixpoint: a target outside
-    the entry closure gets its records from a *null result* (an
+    The unreachable fast path never runs the fixpoint: a procedure
+    outside :meth:`reachable` gets its records from a *null result* (an
     un-run analyzer wrapped in :class:`AnalysisResult` — empty PTF
     tables, exactly what the exhaustive run records for procedures it
     never reached).  Thread-safe; all laziness is guarded by one
     re-entrant lock.
     """
 
-    def __init__(
-        self, program, options=None, entry: str = "main", tracer=None
-    ) -> None:
+    def __init__(self, program, options=None, tracer=None) -> None:
         self.program = program
         self.options = options
-        self.entry = entry
         self.trace = tracer
         self._lock = threading.RLock()
-        self._plan = None
-        self._slices: dict[str, DemandSlice] = {}
+        self._reachable: Optional[frozenset] = None
         self._records: dict[str, dict] = {}
         self._result: Optional[AnalysisResult] = None
         self._null: Optional[AnalysisResult] = None
@@ -273,42 +156,22 @@ class DemandAnalysis:
         self.analyses = 0
         self.analysis_seconds = 0.0
 
-    # -- slices ------------------------------------------------------------
-
-    def plan(self):
+    def reachable(self) -> frozenset:
+        """The procedures a run from ``main`` can analyze: the forward
+        closure of ``main`` over :func:`demand_call_graph` (empty when
+        the program has no ``main``).  Computed once."""
         with self._lock:
-            if self._plan is None:
-                self._plan = build_plan(demand_call_graph(self.program))
-            return self._plan
-
-    def slice_for(self, target: str) -> DemandSlice:
-        with self._lock:
-            sl = self._slices.get(target)
-            if sl is None:
-                sl = compute_demand_slice(
-                    self.program, target, entry=self.entry, plan=self.plan()
-                )
-                self._slices[target] = sl
-                if self.trace is not None:
-                    self.trace.instant(
-                        "demand.slice",
-                        "demand",
-                        target=target,
-                        entry=self.entry,
-                        reachable=sl.reachable,
-                        procs=len(sl.procs),
-                        contexts=len(sl.context_procs),
-                        shards=sl.shards,
-                    )
-            return sl
-
-    def slice_sizes(self) -> dict:
-        """target -> slice size, for every slice computed so far."""
-        with self._lock:
-            return {
-                target: len(sl.procs)
-                for target, sl in sorted(self._slices.items())
-            }
+            if self._reachable is None:
+                graph = demand_call_graph(self.program)
+                seen: set = set()
+                frontier = [ENTRY] if ENTRY in graph else []
+                while frontier:
+                    name = frontier.pop()
+                    if name not in seen:
+                        seen.add(name)
+                        frontier.extend(graph[name] - seen)
+                self._reachable = frozenset(seen)
+            return self._reachable
 
     # -- results -----------------------------------------------------------
 
@@ -321,12 +184,10 @@ class DemandAnalysis:
                 self.analysis_seconds += time.perf_counter() - started
                 self.analyses += 1
                 if self.trace is not None:
-                    entry_slice = self.slice_for(self.entry)
                     self.trace.instant(
                         "demand.analyze",
                         "demand",
-                        entry=self.entry,
-                        procs=len(entry_slice.procs),
+                        procs=len(self.reachable()),
                         seconds=round(self.analysis_seconds, 6),
                     )
             return self._result
@@ -342,7 +203,7 @@ class DemandAnalysis:
             return self._null
 
     def _program_result(self) -> AnalysisResult:
-        if self.entry in self.program.procedures:
+        if ENTRY in self.program.procedures:
             return self.run_result()
         return self._null_result()
 
@@ -354,7 +215,10 @@ class DemandAnalysis:
                 return False
             return not self._result.degradation.ok
 
-    # -- index records -----------------------------------------------------
+    # -- index records (the QueryEngine record-source interface) -----------
+
+    def has_procedure(self, proc: str) -> bool:
+        return proc in self.program.procedures
 
     def record(self, proc: str) -> dict:
         """The per-procedure index record, built through the same
@@ -362,8 +226,16 @@ class DemandAnalysis:
         with self._lock:
             rec = self._records.get(proc)
             if rec is None:
-                sl = self.slice_for(proc)
-                result = self.run_result() if sl.reachable else self._null_result()
+                reachable = proc in self.reachable()
+                if self.trace is not None:
+                    self.trace.instant(
+                        "demand.slice",
+                        "demand",
+                        target=proc,
+                        reachable=reachable,
+                        procs=len(self.reachable()) if reachable else 0,
+                    )
+                result = self.run_result() if reachable else self._null_result()
                 rec = procedure_record(result, proc)
                 self._records[proc] = rec
             return rec
@@ -394,62 +266,6 @@ class DemandAnalysis:
                     )
                 }
             return self._call_graph
-
-
-class DemandEngine(QueryEngine):
-    """A :class:`QueryEngine` whose index is a live demand analysis.
-
-    It shares every code path that shapes an answer — dispatch,
-    caching, alias arithmetic, explain-command rendering — with the
-    store-backed engine, overriding only the accessor seams that read
-    the index.  Records come from :meth:`DemandAnalysis.record`, so an
-    answer's bytes equal what the same query against a freshly indexed
-    store of the same sources would return.
-    """
-
-    def __init__(
-        self,
-        analysis: DemandAnalysis,
-        sources: Optional[list] = None,
-        metrics=None,
-        tracer=None,
-        cache_size: int = 256,
-        program_name: Optional[str] = None,
-    ) -> None:
-        synthetic = {
-            "format": STORE_FORMAT,
-            "program": program_name or analysis.program.name,
-            "sources": [{"path": str(p)} for p in (sources or [])],
-            "snapshot": {"degradation": {"ok": True}},
-            "call_graph": {},
-            "ir": {},
-            "index": {"procedures": {}, "pointed_by": {}, "callsites": []},
-        }
-        super().__init__(
-            synthetic, metrics=metrics, tracer=tracer, cache_size=cache_size
-        )
-        self.analysis = analysis
-
-    @property
-    def degraded(self) -> bool:
-        return self.analysis.degraded()
-
-    def _proc_record_or_none(self, name: str) -> Optional[dict]:
-        if name not in self.analysis.program.procedures:
-            return None
-        return self.analysis.record(name)
-
-    def _has_proc(self, name: str) -> bool:
-        return name in self.analysis.program.procedures
-
-    def _pointed_by_table(self) -> dict:
-        return self.analysis.pointed_by_table()
-
-    def _callsite_table(self) -> list:
-        return self.analysis.callsite_table()
-
-    def _graph(self) -> dict:
-        return self.analysis.call_graph_table()
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +299,10 @@ class DemandTier:
     The probe is cheap by design: a stat signature guards a content
     hash guards a re-lowering.  Unchanged files cost ``len(sources)``
     stats per query; an edit costs one hash pass, one lowering, one
-    :func:`compute_stale`, and (on the first routed query) one slice
-    analysis — all memoized until the sources move again.  Stores
-    without recorded sources (in-memory tests, ``--stdin`` pipelines)
-    are never probed and never stale.
+    :func:`compute_stale`, and (on the first routed query) one
+    whole-program fixpoint — all memoized until the sources move again.
+    Stores without recorded sources (in-memory tests, ``--stdin``
+    pipelines) are never probed and never stale.
 
     Probe failures (vanished files, parse errors mid-edit) never break
     serving: the tier degrades to "everything stale, no demand engine",
@@ -498,19 +314,14 @@ class DemandTier:
         self,
         store: dict,
         enabled: bool = True,
-        options=None,
-        entry: str = "main",
         tracer=None,
         cache_size: int = 256,
     ) -> None:
         self.store = store
         self.enabled = enabled
-        self.entry = entry
         self.trace = tracer
         self.cache_size = cache_size
-        self.options = (
-            options if options is not None else options_from_store(store)
-        )
+        self.options = options_from_store(store)
         records = store.get("sources") or []
         self.paths = [rec.get("path") for rec in records if rec.get("path")]
         self._stored_digests = tuple(rec.get("sha256") for rec in records)
@@ -521,7 +332,7 @@ class DemandTier:
         self._stale: frozenset = frozenset()
         self._globals_changed = False
         self._any_stale = False
-        self._engine: Optional[DemandEngine] = None
+        self._engine: Optional[QueryEngine] = None
         self._error: Optional[str] = None
         # cumulative counters (carried across reloads by :meth:`for_store`)
         self.fallbacks = 0
@@ -588,17 +399,12 @@ class DemandTier:
         self._any_stale = not report.up_to_date
         self._error = None
         self._verdict = "stale" if self._any_stale else "fresh"
-        self._engine = DemandEngine(
-            DemandAnalysis(
-                program,
-                options=self.options,
-                entry=self.entry,
-                tracer=self.trace,
-            ),
+        self._engine = QueryEngine.over(
+            DemandAnalysis(program, options=self.options, tracer=self.trace),
+            program=self.store.get("program", "<program>"),
             sources=self.paths,
             tracer=self.trace,
             cache_size=self.cache_size,
-            program_name=self.store.get("program"),
         )
         if self.trace is not None:
             self.trace.instant(
@@ -644,8 +450,9 @@ class DemandTier:
                 # a brand-new procedure is absent from the store's
                 # tables entirely; stale covers added procs already,
                 # but guard the direct probe too
-                or (self._engine is not None and not engine._has_proc(proc)
-                    and self._engine._has_proc(proc))
+                or (self._engine is not None
+                    and not engine.records.has_procedure(proc)
+                    and self._engine.records.has_procedure(proc))
             )
         if not affected:
             return None
@@ -691,10 +498,9 @@ class DemandTier:
                 out["error"] = self._error
             engine = self._engine
         if engine is not None:
-            analysis = engine.analysis
+            analysis = engine.records
             out["analyses"] = analysis.analyses
             out["analysis_seconds"] = round(analysis.analysis_seconds, 6)
-            out["slices"] = analysis.slice_sizes()
         return out
 
     def for_store(self, store: dict) -> "DemandTier":
@@ -703,7 +509,6 @@ class DemandTier:
         tier = DemandTier(
             store,
             enabled=self.enabled,
-            entry=self.entry,
             tracer=self.trace,
             cache_size=self.cache_size,
         )

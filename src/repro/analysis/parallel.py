@@ -3,10 +3,10 @@
 The unit of parallel work is one *program*: each task parses, lowers and
 analyzes one translation-unit group in its own worker process and ships
 back a pickle-clean result bundle — the canonical snapshot (digest
-included), the Table-2 measurement columns, the degradation summary, and
-the program's SCC shard plan (:mod:`repro.analysis.scc`).  The parent
-merges bundles **in task order**, so the batch output and the recorded
-digests are deterministic regardless of which worker finishes first.
+included), the Table-2 measurement columns and the degradation summary.
+The parent merges bundles **in task order**, so the batch output and the
+recorded digests are deterministic regardless of which worker finishes
+first.
 
 Determinism argument (docs/PARALLEL.md):
 
@@ -25,14 +25,12 @@ Determinism argument (docs/PARALLEL.md):
 that is the sequential baseline the digest-equality acceptance test and
 the CI parallel job compare against.
 
-Why programs and not procedure shards?  The PTF scheme is *demand-driven
-top-down*: a callee's contexts (input alias patterns) are discovered
-while its callers are being evaluated, so a bottom-up worker cannot know
-which PTFs to build, and any context-free over-approximation would
-change the per-procedure PTF payload lists the digest hashes.  The shard
-plan each worker computes (SCC condensation, bottom-up waves) is the
-schedule a future context-free summary phase would execute; until then
-it is reported, not dispatched.  See docs/PARALLEL.md.
+Why programs and not groups of procedures?  The PTF scheme is
+*demand-driven top-down*: a callee's contexts (input alias patterns) are
+discovered while its callers are being evaluated, so a bottom-up worker
+cannot know which PTFs to build, and any context-free over-approximation
+would change the per-procedure PTF payload lists the digest hashes.
+Parallelism is therefore across programs only.  See docs/PARALLEL.md.
 """
 
 from __future__ import annotations
@@ -90,10 +88,9 @@ class AnalysisTask:
     build_store: bool = False
     #: parallel observatory (``--profile-parallel``): the worker runs
     #: with its own Tracer + TelemetryRegistry and ships the trace
-    #: events, the clock calibration record, the telemetry payload, the
-    #: per-procedure self-times and the full shard plan back in the
-    #: bundle.  Results and digests stay bit-identical — the profile is
-    #: pure instrumentation.
+    #: events, the clock calibration record and the telemetry payload
+    #: back in the bundle.  Results and digests stay bit-identical — the
+    #: profile is pure instrumentation.
     profile: bool = False
     #: task position in the batch (stamped by run_batch; lane ordering
     #: and queue-wait attribution)
@@ -164,7 +161,6 @@ def _worker_run(task: AnalysisTask) -> dict:
         from ..diagnostics.snapshot import build_snapshot
         from ..analysis.results import run_analysis
         from ..analysis.engine import AnalyzerOptions
-        from .scc import build_plan, static_call_graph
 
         t_phase = time.perf_counter()
         program = _load_task_program(task)
@@ -178,7 +174,6 @@ def _worker_run(task: AnalysisTask) -> dict:
                 task, out, tracer, registry, queue_wait_ms, phase_ms
             )
             return out
-        plan = build_plan(static_call_graph(program))
         if task.options or task.profile:
             options = AnalyzerOptions(**task.options)
         else:
@@ -200,7 +195,6 @@ def _worker_run(task: AnalysisTask) -> dict:
             {
                 "snapshot": snapshot,
                 "digest": snapshot["digest"]["program"],
-                "shard_plan": plan.stats(),
                 "lines": stats.source_lines,
                 "procedures": stats.procedures,
                 "analysis_seconds": stats.analysis_seconds,
@@ -223,15 +217,6 @@ def _worker_run(task: AnalysisTask) -> dict:
                 "partial": not report.ok,
             }
         )
-        if task.profile:
-            out["profile_data"] = {
-                "plan": plan.to_payload(),
-                "proc_self_seconds": {
-                    name: round(seconds, 9)
-                    for name, seconds in
-                    result.analyzer.metrics.proc_self_seconds.items()
-                },
-            }
         if task.build_store:
             from ..query.store import build_store
 
@@ -286,9 +271,7 @@ def _finish_worker_profile(
     registry.counter("parallel.tasks").inc()
     if out.get("error"):
         registry.counter("parallel.errors").inc()
-    profile_data = out.pop("profile_data", None) or {}
     out["profile"] = dict(
-        profile_data,
         index=task.index,
         calibration=tracer.calibration(),
         events=tracer.events,
@@ -329,7 +312,6 @@ class BatchResult:
 
     def stats(self) -> dict:
         """The batch-level measurement record (metrics + trajectory)."""
-        good = [r for r in self.results if not r.get("error")]
         worker_seconds = sum(r.get("seconds", 0.0) for r in self.results)
         denom = self.jobs * self.elapsed_seconds
         return {
@@ -352,13 +334,6 @@ class BatchResult:
                 max((r.get("seconds", 0.0) for r in self.results),
                     default=0.0),
                 6,
-            ),
-            "shards": sum(
-                r.get("shard_plan", {}).get("shards", 0) for r in good
-            ),
-            "recursive_shards": sum(
-                r.get("shard_plan", {}).get("recursive_shards", 0)
-                for r in good
             ),
         }
 

@@ -1,229 +1,33 @@
-"""Call-graph SCC condensation and the bottom-up shard schedule.
+"""Static call-graph extraction, before any analysis runs.
 
-Wilson & Lam's partial transfer functions make the call graph's SCC
-condensation the natural unit of parallel work: a procedure's PTFs are
-determined by its own IR plus its callees' summaries, so once every
-callee SCC is summarized, the SCCs of a condensation *wave* depend only
-on completed work and may be analyzed concurrently.  Recursive cycles
-(§5.4) are kept whole — an SCC is never split across shards, because its
-members' summaries reach a joint fixpoint.
+Three views of a lowered program's calls, all over-approximations of
+what the analysis can resolve:
 
-Everything here is deterministic by construction: Tarjan visits roots
-and successors in sorted name order, so the shard list, the dependency
-edges, and the wave schedule are identical regardless of dict insertion
-order (the property the shard-order determinism test perturbs).  Tarjan
-emits components in reverse topological order of the condensation —
-exactly the bottom-up (callees-first) order the scheduler wants.
-
-Two graph sources feed this module:
-
-* :func:`static_call_graph` — the pre-analysis approximation used for
-  *scheduling*: direct call edges, with indirect call sites widened to
-  every address-taken procedure (the same over-approximation
-  ``guards.conservative_region`` uses, and a superset of every edge the
-  analysis can resolve);
-* ``AnalysisResult.call_graph()`` — the analysis-resolved graph, used
-  for reporting the realized shard structure.
+* :func:`address_taken_procs` — the procedures an indirect call site
+  may reach (the store records them, and invalidation widens through
+  them);
+* :func:`indirect_call_procs` — the procedures containing an indirect
+  call site (the consumers a retargeted function pointer can affect);
+* :func:`static_call_graph` — direct call edges, with indirect call
+  sites widened to every address-taken procedure (the same
+  over-approximation ``guards.conservative_region`` uses, and a
+  superset of every edge the analysis can resolve).  The demand tier's
+  reachability check (:func:`repro.analysis.demand.demand_call_graph`)
+  starts from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.program import Program
 
 __all__ = [
-    "Shard",
-    "ShardPlan",
-    "tarjan_sccs",
-    "build_plan",
     "static_call_graph",
     "address_taken_procs",
     "indirect_call_procs",
 ]
-
-
-def _normalized(graph: Mapping[str, Iterable[str]]) -> dict[str, tuple[str, ...]]:
-    """Restrict edges to graph nodes and sort everything (determinism)."""
-    nodes = set(graph)
-    return {
-        name: tuple(sorted(set(graph[name]) & nodes))
-        for name in sorted(nodes)
-    }
-
-
-def tarjan_sccs(graph: Mapping[str, Iterable[str]]) -> list[tuple[str, ...]]:
-    """Strongly connected components of ``graph``, iteratively.
-
-    Returns SCCs in reverse topological order of the condensation
-    (callees before callers — the bottom-up schedule order), each
-    component's members sorted.  Deterministic under any dict ordering:
-    roots and successors are visited in sorted name order.  Iterative so
-    call chains as deep as the IR allows never hit the interpreter
-    recursion limit.
-    """
-    edges = _normalized(graph)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[tuple[str, ...]] = []
-    counter = 0
-    for root in edges:
-        if root in index:
-            continue
-        # explicit DFS stack of (node, iterator position)
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, pos = work[-1]
-            if pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succs = edges[node]
-            while pos < len(succs):
-                succ = succs[pos]
-                pos += 1
-                if succ not in index:
-                    work[-1] = (node, pos)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                out.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return out
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One schedulable unit: a call-graph SCC, kept whole."""
-
-    #: sorted member procedure names
-    procs: tuple[str, ...]
-    #: True when the shard is a recursive cycle (|SCC| > 1 or self-loop)
-    recursive: bool
-
-    @property
-    def name(self) -> str:
-        head = self.procs[0]
-        if len(self.procs) == 1:
-            return head
-        return f"{head}(+{len(self.procs) - 1})"
-
-
-@dataclass
-class ShardPlan:
-    """The bottom-up shard schedule of one call graph.
-
-    ``shards`` is in reverse topological (bottom-up) order; ``deps[i]``
-    names the callee shards of shard ``i`` (indices into ``shards``);
-    ``waves`` groups shard indices whose dependencies are all satisfied
-    by earlier waves — the process pool dispatches one wave at a time.
-    """
-
-    shards: list[Shard] = field(default_factory=list)
-    deps: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    waves: list[tuple[int, ...]] = field(default_factory=list)
-
-    @property
-    def critical_path(self) -> int:
-        """Waves a perfectly parallel bottom-up execution still needs."""
-        return len(self.waves)
-
-    @property
-    def width(self) -> int:
-        """Largest wave — the useful degree of shard parallelism."""
-        return max((len(w) for w in self.waves), default=0)
-
-    def stats(self) -> dict:
-        """JSON-serializable plan summary for metrics/trace/CLI output."""
-        recursive = sum(1 for s in self.shards if s.recursive)
-        return {
-            "shards": len(self.shards),
-            "procedures": sum(len(s.procs) for s in self.shards),
-            "recursive_shards": recursive,
-            "largest_shard": max((len(s.procs) for s in self.shards), default=0),
-            "critical_path": self.critical_path,
-            "width": self.width,
-        }
-
-    def to_payload(self) -> dict:
-        """The full plan as plain picklable/JSON data — what a profiled
-        worker ships back so the parent-side critical-path profiler
-        (:mod:`repro.diagnostics.parprof`) can join measured
-        per-procedure self-times onto the wave DAG."""
-        return {
-            "shards": [list(s.procs) for s in self.shards],
-            "recursive": [s.recursive for s in self.shards],
-            "deps": {str(i): list(d) for i, d in self.deps.items()},
-            "waves": [list(w) for w in self.waves],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ShardPlan":
-        """Rebuild a plan from :meth:`to_payload` output."""
-        shards = [
-            Shard(procs=tuple(procs), recursive=bool(rec))
-            for procs, rec in zip(payload["shards"], payload["recursive"])
-        ]
-        deps = {
-            int(i): tuple(d) for i, d in payload["deps"].items()
-        }
-        waves = [tuple(w) for w in payload["waves"]]
-        return cls(shards=shards, deps=deps, waves=waves)
-
-
-def build_plan(graph: Mapping[str, Iterable[str]]) -> ShardPlan:
-    """SCC-condense ``graph`` into the deterministic bottom-up schedule."""
-    edges = _normalized(graph)
-    sccs = tarjan_sccs(edges)
-    shard_of: dict[str, int] = {}
-    shards: list[Shard] = []
-    for i, comp in enumerate(sccs):
-        recursive = len(comp) > 1 or comp[0] in edges[comp[0]]
-        shards.append(Shard(procs=comp, recursive=recursive))
-        for name in comp:
-            shard_of[name] = i
-    deps: dict[int, tuple[int, ...]] = {}
-    for i, shard in enumerate(shards):
-        out: set[int] = set()
-        for name in shard.procs:
-            for succ in edges[name]:
-                j = shard_of[succ]
-                if j != i:
-                    out.add(j)
-        deps[i] = tuple(sorted(out))
-    # wave schedule: repeatedly release every shard whose deps completed
-    done: set[int] = set()
-    waves: list[tuple[int, ...]] = []
-    remaining = list(range(len(shards)))
-    while remaining:
-        ready = tuple(i for i in remaining if all(d in done for d in deps[i]))
-        if not ready:  # pragma: no cover - impossible: condensation is a DAG
-            raise RuntimeError("shard schedule is cyclic")
-        waves.append(ready)
-        done.update(ready)
-        remaining = [i for i in remaining if i not in done]
-    return ShardPlan(shards=shards, deps=deps, waves=waves)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +98,7 @@ def indirect_call_procs(program: "Program") -> set[str]:
 
 
 def static_call_graph(program: "Program") -> dict[str, set[str]]:
-    """The scheduling over-approximation of the call graph.
+    """The static over-approximation of the call graph.
 
     Direct call edges, plus — at every indirect call site — edges to all
     address-taken procedures (any of them could run; the analysis can

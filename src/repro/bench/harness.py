@@ -288,9 +288,9 @@ def _parallel_rows(
     ``profile=True`` runs the batch under the parallel observatory
     (worker traces merged into ``tracer``, telemetry folded into the
     batch stats).  ``batch_info``, when given, receives the batch stats
-    and — with profiling — the full ``repro-parprof/1`` document under
-    ``"parallel_profile"`` (the trajectory's utilization /
-    critical-path columns and the CI artifact both come from it).
+    (the trajectory's utilization / critical-path columns come from
+    them) and — with profiling — the merged worker telemetry under
+    ``"telemetry"``.
     """
     from ..analysis.parallel import AnalysisTask, options_payload, run_batch
 
@@ -306,12 +306,8 @@ def _parallel_rows(
     batch = run_batch(tasks, jobs=jobs, tracer=tracer, profile=profile)
     if batch_info is not None:
         batch_info.update(batch.stats())
-        if profile:
-            from ..diagnostics.parprof import build_parallel_profile
-
-            batch_info["parallel_profile"] = build_parallel_profile(batch)
-            if batch.telemetry is not None:
-                batch_info["telemetry"] = batch.telemetry.as_dict()
+        if batch.telemetry is not None:
+            batch_info["telemetry"] = batch.telemetry.as_dict()
     rows = []
     for prog, bundle in zip(progs, batch.results):
         if bundle.get("error"):
@@ -515,14 +511,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="append this run to the benchmark trajectory "
                              "file (default BENCH_table2.json) and report "
                              "drift against the previous entry")
-    parser.add_argument("--profile-parallel", nargs="?",
-                        const="parallel-profile.json", metavar="PATH",
+    parser.add_argument("--profile-parallel", action="store_true",
                         help="run the batch under the parallel observatory "
-                             "and write the critical-path profile to PATH "
-                             "(default parallel-profile.json; render with "
-                             "'repro parallel-report'); with --record, the "
-                             "utilization and critical_path_seconds columns "
-                             "land in the trajectory totals")
+                             "(worker traces merged into --trace-json)")
     parser.add_argument("--trace-json", metavar="PATH",
                         help="with --profile-parallel: write the merged "
                              "Chrome trace (one lane per worker, "
@@ -541,9 +532,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             tracemalloc.start()
         else:  # pragma: no cover - nested tracing
             tracemalloc.reset_peak()
-    profiling = args.profile_parallel is not None
     tracer = None
-    if profiling and args.trace_json:
+    if args.profile_parallel and args.trace_json:
         from ..diagnostics.trace import Tracer
 
         tracer = Tracer()
@@ -553,22 +543,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         names=names,
         per_program_timeout=args.per_program_timeout,
         jobs=args.jobs,
-        profile=profiling,
+        profile=args.profile_parallel,
         tracer=tracer,
         batch_info=batch_info,
     )
     batch_seconds = time.perf_counter() - batch_start
-    profile_doc = batch_info.get("parallel_profile")
-    if profile_doc is not None:
-        from ..diagnostics.parprof import write_profile
-
-        write_profile(profile_doc, args.profile_parallel)
-        print(
-            f"repro-bench: parallel profile -> {args.profile_parallel} "
-            f"(measured {profile_doc['measured_speedup']}x, theoretical "
-            f"{profile_doc['theoretical_speedup']}x)",
-            file=sys.stderr,
-        )
     if tracer is not None:
         tracer.save_chrome(args.trace_json)
         print(f"repro-bench: merged trace -> {args.trace_json}",

@@ -203,8 +203,7 @@ def _print_batch_summary(batch) -> None:
     print(
         f"batch: {stats['programs']} program(s), jobs {stats['jobs']}, "
         f"{stats['elapsed_seconds']:.3f}s wall "
-        f"({stats['worker_seconds']:.3f}s in workers), "
-        f"{stats['shards']} shard(s), {stats['recursive_shards']} recursive"
+        f"({stats['worker_seconds']:.3f}s in workers)"
     )
 
 
@@ -218,8 +217,8 @@ def _analyze_batch(args: argparse.Namespace) -> int:
 
     opts = _options_from(args)
     tasks = _batch_tasks(args, opts)
-    profile_dest = getattr(args, "profile_parallel", None)
-    if profile_dest is not None and opts.trace is None:
+    profile = getattr(args, "profile_parallel", False)
+    if profile and opts.trace is None:
         # the observatory always merges worker lanes; --trace-json[l]
         # decides whether the merged trace is also written out
         from .diagnostics.trace import Tracer
@@ -229,7 +228,7 @@ def _analyze_batch(args: argparse.Namespace) -> int:
         tasks,
         jobs=args.jobs,
         tracer=opts.trace,
-        profile=profile_dest is not None,
+        profile=profile,
         worker_trace_dir=getattr(args, "worker_trace_dir", None),
     )
     for bundle in batch.results:
@@ -240,15 +239,11 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 print(f"repro: {name}: frontend fault: {fault}",
                       file=sys.stderr)
             continue
-        plan = bundle["shard_plan"]
         print(
             f"{name:<12} digest {bundle['digest'][:16]}…  "
             f"procs {bundle['procedures']:>3}  "
             f"ptfs {bundle['total_ptfs']:>4}  "
-            f"{bundle['analysis_seconds'] * 1000:>8.1f} ms  "
-            f"shards {plan['shards']:>3} "
-            f"(waves {plan['critical_path']}, width {plan['width']}, "
-            f"recursive {plan['recursive_shards']})"
+            f"{bundle['analysis_seconds'] * 1000:>8.1f} ms"
         )
         for line in bundle.get("degradation_lines", []):
             print(f"repro: {name}: {line}", file=sys.stderr)
@@ -268,18 +263,6 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 f"repro: snapshot {dest} digest {bundle['digest'][:16]}…",
                 file=sys.stderr,
             )
-    if profile_dest is not None:
-        from .diagnostics.parprof import build_parallel_profile, write_profile
-
-        doc = build_parallel_profile(batch)
-        write_profile(doc, profile_dest)
-        print(
-            f"repro: parallel profile {profile_dest} "
-            f"(measured {doc['measured_speedup']}x, theoretical "
-            f"{doc['theoretical_speedup']}x, {len(batch.lanes)} worker "
-            f"lane(s)); render with: repro parallel-report {profile_dest}",
-            file=sys.stderr,
-        )
     dest = getattr(args, "stats_json", None)
     if dest is not None:
         per_program = {}
@@ -288,7 +271,7 @@ def _analyze_batch(args: argparse.Namespace) -> int:
                 k: bundle[k]
                 for k in (
                     "digest", "procedures", "total_ptfs", "avg_ptfs",
-                    "analysis_seconds", "seconds", "shard_plan", "error",
+                    "analysis_seconds", "seconds", "error",
                     "partial", "pid",
                 )
                 if k in bundle
@@ -304,61 +287,9 @@ def _analyze_batch(args: argparse.Namespace) -> int:
     return _batch_status(batch)
 
 
-def _analyze_demand(args: argparse.Namespace) -> int:
-    """``repro analyze --demand-root VAR@PROC``: print the demand slice
-    for each root and answer its points-to query from a query-rooted
-    analysis (the unreachable fast path never runs the fixpoint)."""
-    from .analysis.demand import (
-        DemandAnalysis,
-        DemandEngine,
-        fresh_analysis_state,
-    )
-    from .query import QueryError
-
-    opts = _options_from(args)
-    fresh_analysis_state()
-    program = load_project_files(
-        args.files, tolerant=not opts.strict, faults=opts.faults
-    )
-    analysis = DemandAnalysis(program, options=opts, tracer=opts.trace)
-    engine = DemandEngine(analysis, sources=args.files)
-    status = EXIT_OK
-    for spec in args.demand_root:
-        var, _, proc = spec.partition("@")
-        proc = proc or "main"
-        sl = analysis.slice_for(proc)
-        if sl.reachable:
-            print(
-                f"demand slice {var}@{proc}: {len(sl.procs)}/"
-                f"{len(program.procedures)} procedure(s), "
-                f"{sl.shards} shard(s), "
-                f"{len(sl.context_procs)} context proc(s)"
-            )
-        else:
-            print(
-                f"demand slice {var}@{proc}: unreachable from main — "
-                "empty facts, no analysis"
-            )
-        try:
-            answer = engine.query({"op": "points_to", "var": var, "proc": proc})
-        except QueryError as exc:
-            print(f"error: {spec!r}: {exc}", file=sys.stderr)
-            status = EXIT_ERROR
-            continue
-        for line in _render_query_answer(answer):
-            print(line)
-    _emit_trace(args, opts.trace)
-    if status == EXIT_OK and analysis.degraded():
-        _report_degradation(analysis.run_result().degradation)
-        return EXIT_PARTIAL
-    return status
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if getattr(args, "jobs", None) is not None:
         return _analyze_batch(args)
-    if getattr(args, "demand_root", None):
-        return _analyze_demand(args)
     opts = _options_from(args)
     program = load_project_files(
         args.files, tolerant=not opts.strict, faults=opts.faults
@@ -852,7 +783,7 @@ def _answer_query_specs(
     if demand_used and forced_mode is None:
         print(
             "repro: sources changed since 'repro index'; stale answers "
-            "were recomputed on their demand slices (mode: demand)",
+            "were recomputed from the edited sources (mode: demand)",
             file=sys.stderr,
         )
     elif stale_seen:
@@ -878,16 +809,14 @@ def _answer_query_specs(
 def _query_without_store(args: argparse.Namespace) -> int:
     """The ``--analyze-on-miss`` path: no store — lower the given
     sources and answer straight from a one-shot demand analysis."""
-    from .analysis.demand import (
-        DemandAnalysis,
-        DemandEngine,
-        fresh_analysis_state,
-    )
+    from .analysis.demand import DemandAnalysis, fresh_analysis_state
+    from .query import QueryEngine
 
     fresh_analysis_state()
     program = load_project_files(args.analyze_on_miss)
-    engine = DemandEngine(
+    engine = QueryEngine.over(
         DemandAnalysis(program),
+        program=program.name,
         sources=args.analyze_on_miss,
         cache_size=args.cache_size,
     )
@@ -896,8 +825,8 @@ def _query_without_store(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     """Answer demand queries from a persisted store; when the indexed
-    sources have been edited since, stale answers are recomputed on
-    their demand slices instead of silently served (docs/QUERY.md §6)."""
+    sources have been edited since, stale answers are recomputed from
+    the edited sources instead of silently served (docs/QUERY.md §6)."""
     from .query import QueryEngine, load_store
 
     try:
@@ -1154,27 +1083,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_parallel_report(args: argparse.Namespace) -> int:
-    """``repro parallel-report``: render a ``--profile-parallel``
-    document (critical path, Brent bound, wave utilization, ranked
-    pre-summarization candidates)."""
-    from .diagnostics.parprof import load_profile, render_report
-
-    try:
-        profile = load_profile(args.profile)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if args.json:
-        _write_text(
-            args.output, json.dumps(profile, indent=2, sort_keys=True)
-        )
-    else:
-        with _out_stream(args.output) as fh:
-            fh.write(render_report(profile))
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1195,13 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshot to DIR/<name>.snapshot.json")
     p.add_argument("--points-to", action="append", metavar="[PROC:]VAR",
                    help="print the points-to set of a variable")
-    p.add_argument("--demand-root", action="append", metavar="VAR[@PROC]",
-                   help="demand mode: print the query's demand slice "
-                        "over the static call graph and answer its "
-                        "points-to query from a query-rooted analysis "
-                        "(an unreachable PROC answers empty with no "
-                        "analysis at all); repeatable — the slice "
-                        "analysis runs once and is shared")
     p.add_argument("--stats-json", nargs="?", const="-", metavar="PATH",
                    help="dump analysis metrics as JSON (to PATH, or stdout "
                         "when no PATH is given)")
@@ -1214,15 +1115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-jsonl", metavar="PATH",
                    help="also/instead write the trace as one JSON event per "
                         "line ('-' for stdout)")
-    p.add_argument("--profile-parallel", nargs="?",
-                   const="parallel-profile.json", metavar="PATH",
+    p.add_argument("--profile-parallel", action="store_true",
                    help="with --jobs: run the parallel observatory — "
                         "per-worker traces merged onto one timeline (one "
-                        "lane per worker; write it with --trace-json), "
-                        "worker telemetry folded into the batch stats, and "
-                        "the shard-plan critical-path profile written to "
-                        "PATH (default parallel-profile.json; render with "
-                        "'repro parallel-report')")
+                        "lane per worker; write it with --trace-json) and "
+                        "worker telemetry folded into --stats-json")
     p.add_argument("--worker-trace-dir", metavar="DIR",
                    help="with --profile-parallel: each worker also writes "
                         "its own JSONL trace to DIR/<name>.worker.jsonl")
@@ -1282,20 +1179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_parallelize)
-
-    p = sub.add_parser(
-        "parallel-report",
-        help="render a parallel profile (analyze --profile-parallel): "
-             "critical path, Brent speedup bound, wave utilization, and "
-             "the ranked pre-summarization candidates",
-    )
-    p.add_argument("profile", metavar="PROFILE",
-                   help="path to a parallel-profile.json document")
-    p.add_argument("--json", action="store_true",
-                   help="emit the raw profile document instead of text")
-    p.add_argument("-o", "--output", default="-", metavar="PATH",
-                   help="destination ('-' = stdout, the default)")
-    p.set_defaults(func=cmd_parallel_report)
 
     p = sub.add_parser(
         "snapshot",
@@ -1381,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demand", dest="demand", action="store_true",
                    default=True,
                    help="when the indexed sources changed on disk, "
-                        "recompute stale answers on their demand slices "
+                        "recompute stale answers from the edited sources "
                         "instead of serving outdated facts (the "
                         "default)")
     p.add_argument("--no-demand", dest="demand", action="store_false",
@@ -1451,8 +1334,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "procedures whose sources changed since 'repro "
                         "index' are answered from the (stale) store "
                         "with an explicit \"stale\": true envelope "
-                        "field instead of being recomputed on their "
-                        "demand slice")
+                        "field instead of being recomputed from the "
+                        "edited sources")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -151,12 +151,13 @@ EVENT_VOCABULARY: dict[str, str] = {
     "query.deadline": "i a query's per-request deadline expired before "
                       "an answer was produced; args: op, key",
     # -- demand mode (repro.analysis.demand; docs/QUERY.md §6) -----------
-    "demand.slice": "i a demand slice was computed for a query target "
-                    "on the SCC condensation; args: target, entry, "
-                    "reachable, procs, contexts, shards",
-    "demand.analyze": "i the demand tier ran the slice analysis (one "
-                      "fixpoint per source generation, memoized across "
-                      "queries); args: entry, procs, seconds",
+    "demand.slice": "i a demand record was first built for a query "
+                    "target; reachable says whether main can reach it "
+                    "(else empty facts, no fixpoint); args: target, "
+                    "reachable, procs (the reachable set's size)",
+    "demand.analyze": "i the demand tier ran the whole-program fixpoint "
+                      "(one per source generation, memoized across "
+                      "queries); args: procs, seconds",
     "demand.stale": "i the staleness probe re-lowered edited sources "
                     "and diffed IR digests against the store; args: "
                     "stale, changed, added, removed, globals_changed",

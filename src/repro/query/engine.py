@@ -7,6 +7,13 @@ fixpoint.  The exhaustive-vs-demand tradeoff is the classic one: the
 exhaustive analysis ran once at ``repro index`` time; every question
 after that is a dict probe plus a little overlap arithmetic.
 
+The engine reads its facts — procedure records, the pointed-by table,
+call sites, the call graph and the degradation flag — from one *record
+source*.  :class:`StoreRecords` is the stored index;
+:class:`repro.analysis.demand.DemandAnalysis` is the other
+implementation, materializing the same records lazily from a live
+analysis of edited sources (:meth:`QueryEngine.over`).
+
 Operations (the ``op`` field of a request, and the query grammar the
 CLI/daemon parse — see :func:`parse_query_spec`):
 
@@ -57,7 +64,7 @@ from ..frontend.ctypes_model import WORD_SIZE
 from ..memory.locset import ranges_overlap_mod
 from .store import STORE_FORMAT
 
-__all__ = ["QueryEngine", "QueryError", "parse_query_spec", "OPS"]
+__all__ = ["QueryEngine", "QueryError", "StoreRecords", "parse_query_spec", "OPS"]
 
 #: the closed operation vocabulary (requests with any other ``op`` are
 #: rejected with a ``bad-request`` error envelope)
@@ -100,7 +107,7 @@ def parse_query_spec(spec: str) -> dict:
     Grammar (one query per argument; ``PROC`` defaults to ``main``)::
 
         points-to VAR[@PROC]
-        alias A B[@PROC]          (or  alias A,B[@PROC])
+        alias A B[@PROC]          (or  alias A,B[@PROC], alias A@PROC B)
         pointed-by NAME
         modref PROC
         modref PROC:LINE          (call-site form)
@@ -122,11 +129,14 @@ def parse_query_spec(spec: str) -> dict:
     if op == "alias":
         if len(args) != 2:
             raise QueryError("bad-request", f"alias takes two variables: {spec!r}")
-        a, proc_a = _split_at(args[0])
-        b, proc_b = _split_at(args[1], default_proc=proc_a)
-        if proc_a != "main" and proc_b == "main":
-            proc_b = proc_a
-        return {"op": "alias", "a": a, "b": b, "proc": proc_b}
+        a, proc_a = _split_at(args[0], default_proc="")
+        b, proc_b = _split_at(args[1], default_proc="")
+        if proc_a and proc_b and proc_a != proc_b:
+            raise QueryError(
+                "bad-request",
+                f"alias operands name different procedures: {spec!r}",
+            )
+        return {"op": "alias", "a": a, "b": b, "proc": proc_a or proc_b or "main"}
     if op == "pointed_by":
         if len(args) != 1:
             raise QueryError("bad-request", f"pointed-by takes one NAME: {spec!r}")
@@ -151,8 +161,37 @@ def parse_query_spec(spec: str) -> dict:
     raise QueryError("bad-request", f"unknown operation {words[0]!r} in {spec!r}")
 
 
+class StoreRecords:
+    """The record source of a loaded store document: its index tables."""
+
+    def __init__(self, store: dict) -> None:
+        self._index = store["index"]
+        self._procs: dict = self._index["procedures"]
+        self._call_graph: dict = store["call_graph"]
+        self._ok = store["snapshot"]["degradation"]["ok"]
+
+    def has_procedure(self, name: str) -> bool:
+        return name in self._procs
+
+    def record(self, name: str) -> dict:
+        return self._procs[name]
+
+    def pointed_by_table(self) -> dict:
+        return self._index["pointed_by"]
+
+    def callsite_table(self) -> list:
+        return self._index["callsites"]
+
+    def call_graph_table(self) -> dict:
+        return self._call_graph
+
+    def degraded(self) -> bool:
+        return not self._ok
+
+
 class QueryEngine:
-    """Answers demand queries against one loaded store document."""
+    """Answers demand queries against one loaded store document, or —
+    built with :meth:`over` — against any other record source."""
 
     def __init__(
         self,
@@ -168,11 +207,47 @@ class QueryEngine:
                 f"(expected {STORE_FORMAT!r})"
             )
         self.store = store
+        self._setup(
+            StoreRecords(store),
+            store.get("program", "<program>"),
+            [rec["path"] for rec in store.get("sources", [])],
+            metrics, tracer, cache_size, demand,
+        )
+
+    @classmethod
+    def over(
+        cls,
+        records,
+        program: str,
+        sources=(),
+        metrics: Optional[Metrics] = None,
+        tracer=None,
+        cache_size: int = 256,
+    ) -> "QueryEngine":
+        """An engine whose facts come from ``records`` — any object with
+        :class:`StoreRecords`' methods — instead of a stored index.
+        ``program`` and ``sources`` name the program and its source
+        files, as a store document would."""
+        engine = cls.__new__(cls)
+        engine.store = None
+        engine._setup(
+            records, program, list(sources), metrics, tracer, cache_size, None
+        )
+        return engine
+
+    def _setup(
+        self, records, program, sources, metrics, tracer, cache_size, demand
+    ) -> None:
+        #: where every fact comes from (:class:`StoreRecords` or a
+        #: :class:`repro.analysis.demand.DemandAnalysis`)
+        self.records = records
+        self.program = program
+        self.sources = sources
         self.metrics = metrics if metrics is not None else Metrics()
         self.trace = tracer
         #: optional :class:`repro.analysis.demand.DemandTier` — probed on
-        #: every query; stale facts are either recomputed on a demand
-        #: slice (tier enabled) or annotated ``info["stale"]`` (disabled)
+        #: every query; stale facts are either recomputed from the edited
+        #: sources (tier enabled) or annotated ``info["stale"]`` (disabled)
         self.demand = demand
         self.cache_size = max(0, cache_size)
         self._cache: OrderedDict[str, dict] = OrderedDict()
@@ -182,48 +257,20 @@ class QueryEngine:
         #: (:meth:`adopt_cache`)
         self._cache_deps: dict = {}
         self._lock = threading.Lock()
-        self._index = store["index"]
-        self._procs: dict = self._index["procedures"]
-        self._call_graph: dict = store["call_graph"]
-        self._sources = [rec["path"] for rec in store.get("sources", [])]
 
-    # -- store facts -------------------------------------------------------
-
-    @property
-    def program(self) -> str:
-        return self.store.get("program", "<program>")
+    # -- facts -------------------------------------------------------------
 
     @property
     def degraded(self) -> bool:
-        """Whether the store was built from a degraded (partial) run —
+        """Whether the facts come from a degraded (partial) run —
         answers are then *conservative*, and the daemon/CLI surface the
         partial-results class (status 4) of the 0/2/4 convention."""
-        return not self.store["snapshot"]["degradation"]["ok"]
+        return self.records.degraded()
 
     def _proc(self, name: str) -> dict:
-        rec = self._proc_record_or_none(name)
-        if rec is None:
+        if not self.records.has_procedure(name):
             raise QueryError("unknown-proc", f"no procedure named {name!r}")
-        return rec
-
-    # accessor seams overridden by the demand engine
-    # (:class:`repro.analysis.demand.DemandEngine` materializes these
-    # lazily from a live analysis instead of a stored index)
-
-    def _proc_record_or_none(self, name: str) -> Optional[dict]:
-        return self._procs.get(name)
-
-    def _has_proc(self, name: str) -> bool:
-        return name in self._procs
-
-    def _pointed_by_table(self) -> dict:
-        return self.store["index"]["pointed_by"]
-
-    def _callsite_table(self) -> list:
-        return self.store["index"]["callsites"]
-
-    def _graph(self) -> dict:
-        return self._call_graph
+        return self.records.record(name)
 
     def _check_var(self, proc_rec: dict, proc: str, var: str) -> None:
         known = proc_rec.get("queryable", ())
@@ -233,7 +280,7 @@ class QueryEngine:
             )
 
     def _explain_cmd(self, var: str, proc: str) -> str:
-        files = " ".join(self._sources) if self._sources else "FILES"
+        files = " ".join(self.sources) if self.sources else "FILES"
         return f"repro explain {files} --query {var}@{proc}"
 
     # -- caching -----------------------------------------------------------
@@ -316,9 +363,7 @@ class QueryEngine:
         if self.cache_size == 0:
             return (0, len(items))
         stale = set(report.stale) | set(report.removed)
-        old_sources = [r.get("path") for r in old.store.get("sources", [])]
-        new_sources = [r.get("path") for r in self.store.get("sources", [])]
-        comparable = old_sources == new_sources and not report.globals_changed
+        comparable = old.sources == self.sources and not report.globals_changed
         carried = dropped = 0
         with self._lock:
             for key, answer in items:
@@ -360,7 +405,7 @@ class QueryEngine:
         byte-identical across calls): ``info["cache"]`` is set to
         ``"hit"`` or ``"miss"`` for cacheable ops; when a demand tier is
         attached, ``info["mode"] = "demand"`` marks answers recomputed
-        on a demand slice and ``info["stale"] = True`` marks answers
+        from the edited sources and ``info["stale"] = True`` marks answers
         served from a store known-stale for the facts they state — the
         daemon lifts both into the response envelope.
         """
@@ -467,7 +512,7 @@ class QueryEngine:
         }
 
     def pointed_by(self, name: str) -> dict:
-        pairs = self._pointed_by_table().get(name, [])
+        pairs = self.records.pointed_by_table().get(name, [])
         return {
             "op": "pointed_by",
             "name": name,
@@ -494,11 +539,11 @@ class QueryEngine:
         procedure-level sets.  Callees outside the store (externals,
         libc) are listed as ``unresolved``: their effects are whatever
         the analysis's external policy assumed."""
-        if not self._has_proc(proc):
+        if not self.records.has_procedure(proc):
             raise QueryError("unknown-proc", f"no procedure named {proc!r}")
         sites = [
             site
-            for site in self._callsite_table()
+            for site in self.records.callsite_table()
             if site["proc"] == proc and _coord_line(site["coord"]) == line
         ]
         if not sites:
@@ -512,10 +557,10 @@ class QueryEngine:
         for site in sites:
             for callee in site["callees"]:
                 callees.add(callee)
-                target = self._proc_record_or_none(callee)
-                if target is None:
+                if not self.records.has_procedure(callee):
                     unresolved.add(callee)
                     continue
+                target = self.records.record(callee)
                 for bucket, src in ((mod, target["modref"]["mod"]),
                                     (ref, target["modref"]["ref"])):
                     for name, detail in src.items():
@@ -539,7 +584,7 @@ class QueryEngine:
         }
 
     def reaches(self, src: str, dst: str) -> dict:
-        if src not in self._graph():
+        if src not in self.records.call_graph_table():
             raise QueryError("unknown-proc", f"no procedure named {src!r}")
         path = self._shortest_path(src, dst)
         return {
@@ -551,7 +596,7 @@ class QueryEngine:
         }
 
     def callees(self, proc: str) -> dict:
-        graph = self._graph()
+        graph = self.records.call_graph_table()
         if proc not in graph:
             raise QueryError("unknown-proc", f"no procedure named {proc!r}")
         return {
@@ -561,7 +606,7 @@ class QueryEngine:
         }
 
     def callers(self, proc: str) -> dict:
-        graph = self._graph()
+        graph = self.records.call_graph_table()
         known = set(graph) | {
             c for callees in graph.values() for c in callees
         }
@@ -597,7 +642,7 @@ class QueryEngine:
     # -- helpers -----------------------------------------------------------
 
     def _shortest_path(self, src: str, dst: str) -> Optional[list]:
-        graph = self._graph()
+        graph = self.records.call_graph_table()
         if src == dst:
             return [src]
         prev: dict = {src: None}

@@ -1,9 +1,8 @@
 """Unit tests for the demand-driven analysis layer (repro.analysis.demand).
 
-Covers the slice construction over the SCC condensation, the
-unreachable fast path (no fixpoint ever runs), the one-fixpoint-per-
-generation memoization, trace instants, and the budget/deadline guard
-on the demand engine.
+Covers the reachable set, the unreachable fast path (no fixpoint ever
+runs), the one-fixpoint-per-generation memoization, trace instants, and
+the budget/deadline guard on an engine over a demand analysis.
 """
 
 import pytest
@@ -11,13 +10,12 @@ import pytest
 from repro import AnalyzerOptions, load_program
 from repro.analysis.demand import (
     DemandAnalysis,
-    DemandEngine,
-    compute_demand_slice,
     fresh_analysis_state,
     options_from_store,
 )
 from repro.analysis.guards import AnalysisBudget, GuardTripped
 from repro.diagnostics.trace import Tracer
+from repro.query import QueryEngine
 
 CHAIN = """
 int g1, g2;
@@ -38,39 +36,18 @@ def chain_program():
     return load_program(CHAIN, "chain.c", "chain")
 
 
-# -- slices -----------------------------------------------------------------
+def engine_over(analysis, tracer=None):
+    return QueryEngine.over(analysis, program="chain", tracer=tracer)
 
 
-class TestSlices:
-    def test_slice_is_entry_forward_closure(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "identity")
-        assert sl.reachable
-        assert "identity" in sl.procs and "main" in sl.procs
-        assert "orphan" not in sl.procs
+# -- the reachable set ------------------------------------------------------
 
-    def test_context_procs_are_transitive_callers(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "identity")
-        assert set(sl.context_procs) == {"identity", "wrap", "main"}
-        # sink never calls identity: it supplies no invocation context
-        assert "sink" not in sl.context_procs
 
-    def test_unreachable_target_yields_empty_slice(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "orphan")
-        assert not sl.reachable
-        assert sl.procs == () and sl.context_procs == ()
-
-    def test_unknown_target_yields_empty_slice(self):
-        program = chain_program()
-        sl = compute_demand_slice(program, "no_such_proc")
-        assert not sl.reachable
-
-    def test_slice_memoized_per_target(self):
+class TestReachable:
+    def test_reachable_is_main_forward_closure(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        assert analysis.slice_for("wrap") is analysis.slice_for("wrap")
-        assert analysis.slice_sizes() == {"wrap": 4}
+        assert analysis.reachable() == {"main", "wrap", "identity", "sink"}
+        assert analysis.reachable() is analysis.reachable()
 
 
 # -- laziness and memoization ----------------------------------------------
@@ -79,14 +56,14 @@ class TestSlices:
 class TestLaziness:
     def test_unreachable_query_never_runs_fixpoint(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+        engine = engine_over(analysis)
         ans = engine.query({"op": "points_to", "var": "q", "proc": "orphan"})
         assert ans["targets"] == []
         assert analysis.analyses == 0
 
     def test_one_fixpoint_across_many_queries(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+        engine = engine_over(analysis)
         engine.query({"op": "points_to", "var": "a", "proc": "main"})
         engine.query({"op": "points_to", "var": "p", "proc": "identity"})
         engine.query({"op": "modref", "proc": "sink"})
@@ -95,13 +72,13 @@ class TestLaziness:
 
     def test_reachable_answer_has_real_facts(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+        engine = engine_over(analysis)
         ans = engine.query({"op": "points_to", "var": "a", "proc": "main"})
         assert ans["targets"] == ["g1"]
 
     def test_unrun_analysis_is_not_degraded(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+        engine = engine_over(analysis)
         assert engine.degraded is False
 
 
@@ -114,7 +91,7 @@ class TestTracing:
         analysis = DemandAnalysis(
             chain_program(), options=AnalyzerOptions(), tracer=tracer
         )
-        engine = DemandEngine(analysis, tracer=tracer)
+        engine = engine_over(analysis, tracer=tracer)
         engine.query({"op": "points_to", "var": "a", "proc": "main"})
         names = [e["name"] for e in tracer.events]
         assert "demand.slice" in names
@@ -130,10 +107,11 @@ class TestTracing:
         analysis = DemandAnalysis(
             chain_program(), options=AnalyzerOptions(), tracer=tracer
         )
-        analysis.slice_for("orphan")
+        analysis.record("orphan")
         event = next(e for e in tracer.events if e["name"] == "demand.slice")
         assert event["args"]["reachable"] is False
         assert event["args"]["procs"] == 0
+        assert analysis.analyses == 0
 
 
 # -- budget -----------------------------------------------------------------
@@ -142,7 +120,7 @@ class TestTracing:
 class TestBudget:
     def test_expired_deadline_trips_guard(self):
         analysis = DemandAnalysis(chain_program(), options=AnalyzerOptions())
-        engine = DemandEngine(analysis)
+        engine = engine_over(analysis)
         budget = AnalysisBudget(deadline_seconds=0.0)
         budget.start()
         with pytest.raises(GuardTripped) as exc:

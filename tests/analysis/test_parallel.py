@@ -41,7 +41,7 @@ def test_sequential_batch_is_clean(sequential_batch):
     assert not sequential_batch.errors
     for bundle in sequential_batch.results:
         assert bundle["digest"]
-        assert bundle["shard_plan"]["shards"] >= 1
+        assert bundle["procedures"] >= 1
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
@@ -113,8 +113,8 @@ def test_batch_stats_shape():
     )
     stats = batch.stats()
     for key in ("jobs", "workers", "programs", "errors",
-                "elapsed_seconds", "worker_seconds", "shards",
-                "recursive_shards"):
+                "elapsed_seconds", "worker_seconds", "utilization",
+                "critical_path_seconds"):
         assert key in stats, key
     assert stats["programs"] == 1
     assert stats["errors"] == 0

@@ -64,8 +64,6 @@ def test_profile_block_shape(profiled_batch):
         assert prof["index"] == i
         assert prof["calibration"]["pid"] == bundle["pid"]
         assert prof["calibration"]["wall_anchor_ns"] > 0
-        assert prof["plan"]["shards"]
-        assert prof["proc_self_seconds"]
         assert prof["queue_wait_ms"] is not None
         assert prof["payload_bytes"] > 0
         # the worker's own event stream is complete and self-contained

@@ -9,7 +9,9 @@ checks cross-cutting invariants:
 * Wilson-Lam results are a subset of Andersen's on every variable
   (context sensitivity only ever removes spurious values);
 * Andersen's are a subset of Steensgaard's pointee classes;
-* analysis is deterministic.
+* analysis is deterministic;
+* every procedure the analysis gives a PTF lies in the demand tier's
+  reachable set (the soundness condition of its unreachable fast path).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AnalyzerOptions, analyze_source, load_program
+from repro.analysis.demand import DemandAnalysis
 from repro.baselines import andersen_analyze, steensgaard_analyze
 
 INTS = ["x", "y", "z"]
@@ -183,3 +186,19 @@ def test_strong_updates_only_remove(source):
         a = with_su.points_to_names("main", var)
         b = without.points_to_names("main", var)
         assert a <= b, f"{var}: {a} vs {b}\n{source}"
+
+
+@given(programs())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_analyzed_procedures_are_reachable(source):
+    """A procedure outside the reachable set is answered with empty facts
+    and no fixpoint; that is sound only if the exhaustive run never gives
+    it a PTF."""
+    result = analyze_source(source)
+    analyzed = {name for name, ptfs in result.analyzer.ptfs.items() if ptfs}
+    reachable = DemandAnalysis(result.program).reachable()
+    assert analyzed <= reachable, f"{sorted(analyzed - reachable)}\n{source}"

@@ -1,210 +1,14 @@
-"""SCC condensation and the bottom-up shard schedule.
-
-The two properties the parallel driver leans on (docs/PARALLEL.md):
-
-* **correctness** — the SCC partition matches a brute-force mutual-
-  reachability computation, shards with recursion are flagged, and every
-  shard's dependencies precede it (bottom-up order);
-* **determinism** — the shard list, dependency edges, and wave schedule
-  are identical under any dict insertion order (the perturbation test
-  the ISSUE asks for).
+"""Static call-graph extraction: address-taken procedures, indirect
+call sites, and the widened static call graph the store, invalidation
+and the demand tier's reachability check build on.
 """
-
-import random
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.scc import (
     address_taken_procs,
-    build_plan,
     indirect_call_procs,
     static_call_graph,
-    tarjan_sccs,
 )
 from repro.frontend.parser import load_program
-
-# -- Tarjan correctness -----------------------------------------------------
-
-
-def test_simple_chain():
-    g = {"a": {"b"}, "b": {"c"}, "c": set()}
-    assert tarjan_sccs(g) == [("c",), ("b",), ("a",)]
-
-
-def test_cycle_is_one_component():
-    g = {"a": {"b"}, "b": {"c"}, "c": {"a"}}
-    assert tarjan_sccs(g) == [("a", "b", "c")]
-
-
-def test_self_loop_marks_recursive():
-    plan = build_plan({"f": {"f"}, "g": set()})
-    rec = {s.procs: s.recursive for s in plan.shards}
-    assert rec[("f",)] is True
-    assert rec[("g",)] is False
-
-
-def test_multi_member_scc_stays_whole():
-    g = {"a": {"b"}, "b": {"a"}, "main": {"a"}}
-    plan = build_plan(g)
-    assert ("a", "b") in [s.procs for s in plan.shards]
-    shard = next(s for s in plan.shards if s.procs == ("a", "b"))
-    assert shard.recursive
-
-
-def test_edges_to_unknown_nodes_are_dropped():
-    # external callees (printf, ...) never appear as graph nodes
-    assert tarjan_sccs({"a": {"printf", "b"}, "b": set()}) == [
-        ("b",),
-        ("a",),
-    ]
-
-
-def test_deep_chain_does_not_recurse(monkeypatch):
-    """Iterative Tarjan survives graphs far deeper than any sane
-    interpreter recursion limit would allow a recursive spelling."""
-    n = 5_000
-    g = {f"p{i}": {f"p{i + 1}"} for i in range(n)}
-    g[f"p{n}"] = set()
-    comps = tarjan_sccs(g)
-    assert len(comps) == n + 1
-    assert comps[0] == (f"p{n}",)
-
-
-# -- bottom-up schedule -----------------------------------------------------
-
-
-def _check_plan_invariants(plan):
-    # deps point strictly backwards (bottom-up emission order)
-    for i, dep_ids in plan.deps.items():
-        for j in dep_ids:
-            assert j < i, "dependency emitted after its dependent"
-    # waves: every shard exactly once, deps always in earlier waves
-    seen = set()
-    for wave in plan.waves:
-        for i in wave:
-            assert all(d in seen for d in plan.deps[i])
-        seen.update(wave)
-    assert seen == set(range(len(plan.shards)))
-
-
-def test_wave_schedule_invariants():
-    g = {
-        "main": {"a", "b"},
-        "a": {"c"},
-        "b": {"c"},
-        "c": set(),
-        "r1": {"r2"},
-        "r2": {"r1"},
-    }
-    plan = build_plan(g)
-    _check_plan_invariants(plan)
-    # c, r-cycle (no deps) release together; main must be last
-    assert plan.waves[-1] == (plan.shards.index(
-        next(s for s in plan.shards if s.procs == ("main",))
-    ),)
-    stats = plan.stats()
-    assert stats["shards"] == 5
-    assert stats["recursive_shards"] == 1
-    assert stats["procedures"] == 6
-    assert stats["critical_path"] == len(plan.waves)
-
-
-# -- determinism under dict-ordering perturbation (ISSUE satellite) ---------
-
-
-def _perturbed(graph, seed):
-    """The same graph with node and edge insertion order shuffled."""
-    rng = random.Random(seed)
-    names = list(graph)
-    rng.shuffle(names)
-    out = {}
-    for name in names:
-        edges = list(graph[name])
-        rng.shuffle(edges)
-        out[name] = set(edges)  # set iteration order varies with history
-    return out
-
-
-def test_shard_order_deterministic_under_dict_perturbation():
-    g = {
-        "main": {"parse", "emit", "main"},
-        "parse": {"lex", "error"},
-        "emit": {"error", "walk"},
-        "walk": {"emit"},
-        "lex": set(),
-        "error": set(),
-        "zeta": {"main"},
-    }
-    baseline = build_plan(g)
-    for seed in range(20):
-        plan = build_plan(_perturbed(g, seed))
-        assert [s.procs for s in plan.shards] == [
-            s.procs for s in baseline.shards
-        ]
-        assert plan.deps == baseline.deps
-        assert plan.waves == baseline.waves
-
-
-@st.composite
-def _graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    names = [f"n{i}" for i in range(n)]
-    edges = {
-        name: set(
-            draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
-        )
-        for name in names
-    }
-    return edges
-
-
-def _brute_force_sccs(graph):
-    """Mutual reachability by transitive closure — O(n^3), ground truth."""
-    reach = {a: {a} for a in graph}
-    changed = True
-    while changed:
-        changed = False
-        for a in graph:
-            for b in set(reach[a]):
-                new = graph[b] - reach[a]
-                if new:
-                    reach[a] |= new
-                    changed = True
-    comps = set()
-    for a in graph:
-        comp = frozenset(
-            b for b in graph if b in reach[a] and a in reach[b]
-        )
-        comps.add(comp)
-    return {frozenset(c) for c in comps}
-
-
-@settings(max_examples=60, deadline=None)
-@given(_graphs())
-def test_scc_partition_matches_brute_force(graph):
-    comps = tarjan_sccs(graph)
-    assert {frozenset(c) for c in comps} == _brute_force_sccs(graph)
-    # reverse topological: no component has an edge into a later one
-    pos = {}
-    for i, comp in enumerate(comps):
-        for name in comp:
-            pos[name] = i
-    for a in graph:
-        for b in graph[a]:
-            if b in pos and pos[b] != pos[a]:
-                assert pos[b] < pos[a], f"edge {a}->{b} points forward"
-
-
-@settings(max_examples=40, deadline=None)
-@given(_graphs(), st.integers(min_value=0, max_value=10_000))
-def test_plan_deterministic_on_random_graphs(graph, seed):
-    baseline = build_plan(graph)
-    _check_plan_invariants(baseline)
-    plan = build_plan(_perturbed(graph, seed))
-    assert [s.procs for s in plan.shards] == [s.procs for s in baseline.shards]
-    assert plan.waves == baseline.waves
-
 
 # -- static call-graph extraction -------------------------------------------
 

@@ -37,8 +37,8 @@ def test_jobs_rows_match_sequential_columns():
 
 def test_profiled_batch_fills_batch_info():
     """--profile-parallel plumbing: profiling rides the parallel batch
-    path even at jobs=1 and lands the observatory columns plus a
-    parallel-profile document in batch_info."""
+    path and lands the observatory columns plus the merged worker
+    telemetry in batch_info."""
     info = {}
     rows = table2_rows(names=["allroots", "diff"], jobs=2, profile=True,
                        batch_info=info)
@@ -46,11 +46,8 @@ def test_profiled_batch_fills_batch_info():
     assert all(r.error == "" for r in rows)
     assert 0 < info["utilization"] <= 1.0
     assert info["critical_path_seconds"] > 0
-    doc = info["parallel_profile"]
-    assert doc["jobs"] == 2
-    assert {p["name"] for p in doc["programs"]} == {"allroots", "diff"}
-    assert doc["theoretical_speedup"] >= doc["measured_speedup"]
     assert info["telemetry"]["counters"]["parallel.tasks"] == 2
+    assert "parallel.errors" not in info["telemetry"]["counters"]
 
 
 def test_jobs_error_isolation():

@@ -5,10 +5,12 @@ import json
 from repro.bench.harness import Table2Row, table2_rows
 from repro.bench.programs import by_name
 from repro.bench.trajectory import (
+    DEMAND_TRAJECTORY_FORMAT,
     TRAJECTORY_FORMAT,
     build_entry,
     compare_entries,
     load_trajectory,
+    record_demand_trajectory,
     record_trajectory,
 )
 
@@ -145,3 +147,27 @@ class TestRowStatus:
         clean = fake_row().as_dict()
         assert clean["status"] == "ok"
         assert "error" not in clean and "degradation" not in clean
+
+
+class TestDemandTrajectory:
+    def test_older_entries_with_retired_columns_keep_loading(self, tmp_path):
+        """Entries recorded with a column the recorder has since dropped
+        still load, and compare against new entries without it."""
+        path = tmp_path / "BENCH_demand.json"
+        old_row = {"name": "compiler(ci-gate)", "retired_procs": 19,
+                   "demand_seconds": 0.8, "equal": True, "error": None}
+        path.write_text(json.dumps({
+            "format": DEMAND_TRAJECTORY_FORMAT,
+            "entries": [{"revision": "old", "rows": [old_row], "totals": {
+                "demand_seconds": 0.8, "retired_procs": 19,
+                "errors": 0, "mismatches": 0}}],
+        }))
+        row = {"name": "compiler(ci-gate)", "demand_seconds": 0.8,
+               "equal": True, "error": None}
+        entry, drift = record_demand_trajectory([row], path=str(path),
+                                                revision="new")
+        assert set(entry["totals"]) == {"demand_seconds", "errors",
+                                        "mismatches"}
+        assert drift == []
+        entries = json.loads(path.read_text())["entries"]
+        assert [e["revision"] for e in entries] == ["old", "new"]

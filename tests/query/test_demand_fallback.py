@@ -1,6 +1,6 @@
 """The demand fallback tier end to end: engine routing, server
 envelopes, hot-reload counter carry-over, and the CLI surface
-(``--demand``/``--no-demand``/``--analyze-on-miss``/``--demand-root``).
+(``--demand``/``--no-demand``/``--analyze-on-miss``).
 
 Every store here records its sources (path + sha256), because that is
 what the tier probes; the scenarios then edit those sources on disk and
@@ -268,20 +268,3 @@ class TestCLI:
         assert answers[0]["targets"] == ["g"]
         assert answers[0]["stale"] is True
         assert "--no-demand" in captured.err  # the warning names the way out
-
-    def test_demand_root_prints_slice(self, tmp_path, capsys):
-        src = tmp_path / "prog.c"
-        src.write_text(SOURCE)
-        rc = main(["analyze", str(src), "--demand-root", "a@main"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "demand slice a@main:" in out
-        assert "-> ['g']" in out
-
-    def test_demand_root_unreachable_is_empty(self, tmp_path, capsys):
-        src = tmp_path / "prog.c"
-        src.write_text(SOURCE + "\nint *stray(int *s) { return s; }\n")
-        rc = main(["analyze", str(src), "--demand-root", "s@stray"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "unreachable" in out

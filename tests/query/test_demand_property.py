@@ -9,7 +9,7 @@ over the same sources:
   do), and
 * **demand** — a fresh lowering (``fresh_analysis_state`` first: uid
   counters restart, as the tier does before every re-lowering) wrapped
-  in :class:`DemandAnalysis`/:class:`DemandEngine`.
+  in :class:`DemandAnalysis`, answered by ``QueryEngine.over`` it.
 
 The exhaustive sweep then compares every answer the store can produce —
 ``points_to`` for every indexed (proc, var), ``modref``/``callees``/
@@ -27,11 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.demand import (
-    DemandAnalysis,
-    DemandEngine,
-    fresh_analysis_state,
-)
+from repro.analysis.demand import DemandAnalysis, fresh_analysis_state
 from repro.analysis.engine import AnalyzerOptions
 from repro.analysis.results import run_analysis
 from repro.bench.programs import PROGRAMS, source_path
@@ -64,7 +60,7 @@ def corpus(name: str):
         fresh_analysis_state()
         program = load_project_files([path], name=name)
         analysis = DemandAnalysis(program, options=AnalyzerOptions())
-        demand = DemandEngine(analysis, sources=[path], program_name=name)
+        demand = QueryEngine.over(analysis, program=name, sources=[path])
         analysis.pointed_by_table()
         analysis.callsite_table()
         analysis.call_graph_table()
@@ -113,7 +109,7 @@ def test_demand_pointed_by_has_no_extra_targets(name):
     """Demand's reverse index names exactly the store's targets — no
     target appears on one side only."""
     store, _, demand = corpus(name)
-    assert set(demand.analysis.pointed_by_table()) == set(
+    assert set(demand.records.pointed_by_table()) == set(
         store["index"]["pointed_by"]
     )
 

@@ -68,6 +68,13 @@ def test_parse_alias_forms():
     assert parse_query_spec("alias a,b@f")["proc"] == "f"
     # proc attached to the first variable distributes to the pair
     assert parse_query_spec("alias a@f b")["proc"] == "f"
+    assert parse_query_spec("alias a@f b@f")["proc"] == "f"
+    # two operands naming different procedures explicitly are rejected,
+    # main included, instead of one procedure being silently dropped
+    for spec in ("alias a@f b@g", "alias a@f b@main"):
+        with pytest.raises(QueryError) as exc:
+            parse_query_spec(spec)
+        assert exc.value.code == "bad-request"
 
 
 def test_parse_modref_forms():
