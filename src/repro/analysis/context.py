@@ -163,7 +163,8 @@ class Frame:
         self.call_node = call_node
         self.caller = caller
         self.changed = False
-        #: nodes whose evaluation was deferred (recursion, unknown dests)
+        #: nodes whose evaluation was deferred (recursion, unknown dests,
+        #: function pointers without values); see ``defer``
         self.deferred: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -257,7 +258,9 @@ class Frame:
             caller_locs = self.param_map.caller_locations(loc)
             if caller_locs is None:
                 # unbound parameter: an input that only exists in other
-                # contexts of a recursive PTF; nothing to fetch here
+                # contexts of a recursive PTF; nothing to fetch here, but
+                # another context may bind it
+                self.note_context()
                 return
             caller_vals = self._caller_values(caller_locs, size)
             targets = self.to_callee_targets(caller_vals, loc)
@@ -507,6 +510,7 @@ class Frame:
             elif isinstance(base, ExtendedParameter):
                 # the parameter *is* the function passed in: the values it
                 # represents in the caller are the candidate code addresses
+                self.note_context()
                 rep = base.representative()
                 rep.is_function_pointer = True
                 caller_locs = self.param_map.lookup_param(rep) or EMPTY
@@ -518,6 +522,23 @@ class Frame:
                     self.changed = True
                 out |= resolved
         return out
+
+    def note_context(self) -> None:
+        """The node under evaluation read this calling context, not just
+        the state: a revisit of the PTF under another frame re-runs it."""
+        rec = self.ptf.state.current
+        if rec is not None:
+            rec.context = self
+
+    def defer(self, node: Node) -> None:
+        """Defer ``node`` to a later round.  The first deferral in this
+        activation forces another round; the deferral set belongs to the
+        activation, so a revisit of the PTF re-runs the node and announces
+        it again."""
+        self.note_context()
+        if node.uid not in self.deferred:
+            self.deferred.add(node.uid)
+            self.changed = True
 
     def __repr__(self) -> str:
         return f"<Frame {self.proc.name} ptf#{self.ptf.uid}>"

@@ -192,7 +192,10 @@ class Analyzer(InterproceduralMixin):
         if chain == block.chain:
             return block
         rekeyed = self.heap_block(block.site, chain)
-        # pointer-location registrations travel with the block name
+        # pointer-location registrations travel with the block name, so
+        # the evaluating node depends on the registry
+        if self.stack:
+            self.stack[-1].ptf.state.note_read(block)
         for off_stride in block.pointer_locations:
             rekeyed.register_pointer_location(*off_stride)
         return rekeyed

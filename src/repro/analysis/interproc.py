@@ -59,10 +59,8 @@ class InterproceduralMixin:
         target_vals = evaluator.eval_value(node.target, node)
         targets = sorted(frame.resolve_fnptr_targets(target_vals))
         if not targets:
-            # a function pointer with no values yet: defer to a later pass
-            if node.uid not in frame.deferred:
-                frame.deferred.add(node.uid)
-                frame.changed = True
+            # a function pointer with no values yet: defer to a later round
+            frame.defer(node)
             return
         multiple = len(targets) > 1
         for name in targets:
@@ -121,8 +119,20 @@ class InterproceduralMixin:
         apply_weak: bool,
     ) -> None:
         on_stack = self._stack_frame(proc.name)
+        # what the change-driven caller loop re-checks before skipping
+        # this call node (see call_deps_stale)
+        rec = frame.ptf.state.current
         if on_stack is None:
             guard = self._guard_reason(proc.name)
+            if rec is not None:
+                rec.add_call(
+                    (
+                        "ptfs",
+                        proc.name,
+                        guard[0] if guard is not None else None,
+                        self._ptf_versions(proc.name),
+                    )
+                )
             if guard is not None:
                 reason, detail = guard
                 if self.options.strict:
@@ -148,6 +158,8 @@ class InterproceduralMixin:
             if need_visit:
                 if not self._analyze_ptf(frame, node, proc, ptf, map_):
                     return  # guard tripped: havoc fallback already applied
+            if rec is not None:
+                rec.add_call(("inputs", ptf.uid, map_))
             self.apply_summary(frame, node, ptf, map_, weak=apply_weak)
             # record the summary generation we consumed, so callers of
             # recursive cycles revisit when the head's summary grows
@@ -158,6 +170,8 @@ class InterproceduralMixin:
         else:
             # recursive call: reuse the PTF already on the call stack (§5.4)
             head_ptf = on_stack.ptf
+            if rec is not None:
+                rec.add_call(("head", proc.name) + self._ptf_version(head_ptf))
             head_ptf.is_recursive = True
             self.stats["recursive_calls"] += 1
             tr = self.trace
@@ -171,10 +185,8 @@ class InterproceduralMixin:
                 )
             self._merge_recursive_domain(frame, node, head_ptf, map_)
             if not head_ptf.summary():
-                if node.uid not in frame.deferred:
-                    frame.deferred.add(node.uid)
-                    frame.changed = True
-                return  # defer: no approximation available yet
+                frame.defer(node)
+                return  # no approximation available yet
             # bind the head's parameters against *this* recursive context so
             # the summary translates into it (merge mode, not strict match)
             self._merge_into_ptf(frame, node, head_ptf, map_)
@@ -182,6 +194,58 @@ class InterproceduralMixin:
             frame.ptf.recursive_deps[head_ptf.uid] = (
                 head_ptf.summary_generation
             )
+
+    @staticmethod
+    def _ptf_version(ptf: PTF) -> tuple[int, int, int]:
+        return (ptf.uid, ptf.generation, ptf.state.change_counter)
+
+    def _ptf_versions(self, proc_name: str) -> tuple:
+        return tuple(self._ptf_version(p) for p in self.ptfs.get(proc_name, ()))
+
+    def call_deps_stale(self, deps: list[tuple]) -> bool:
+        """Whether a call node's recorded callee dependencies moved.
+
+        * ``("ptfs", name, guard, versions)``: a call to ``name`` passed
+          the guard with verdict ``guard`` and ``get_ptf`` matched it
+          against the candidate PTFs whose (uid, reset generation, change
+          counter) were ``versions`` before the call.  Any analysis the
+          call ran moves them, so the node is evaluated once more to
+          confirm its match, as a whole-body pass would.
+        * ``("inputs", uid, map)``: the binding ``map`` under which the
+          matched PTF was applied, re-checked the way ``get_ptf`` does
+          (inputs gained pointers, stale recursive dependencies).
+        * ``("head", name, uid, generation, counter)``: a recursive call
+          applied the summary of the head PTF on the stack at that
+          version.
+
+        The records hold uids, not PTFs or states, so they keep nothing
+        alive that the analysis dropped.
+        """
+        for dep in deps:
+            kind = dep[0]
+            if kind == "ptfs":
+                _kind, name, guard, versions = dep
+                if self._stack_frame(name) is not None:
+                    return True
+                now = self._guard_reason(name)
+                if (now[0] if now is not None else None) != guard:
+                    return True
+                if self._ptf_versions(name) != versions:
+                    return True
+            elif kind == "inputs":
+                _kind, uid, map_ = dep
+                ptf = self._ptf_by_uid.get(uid)
+                if (
+                    ptf is None
+                    or ptf.inputs_gained_pointers(map_)
+                    or self._stale_recursive_deps(ptf)
+                ):
+                    return True
+            else:
+                on_stack = self._stack_frame(dep[1])
+                if on_stack is None or self._ptf_version(on_stack.ptf) != dep[2:]:
+                    return True
+        return False
 
     def _analyze_ptf(
         self,
@@ -913,10 +977,10 @@ class InterproceduralMixin:
         pool: the region's code addresses (function pointers the callee
         could hand out), its string literals, every reachable block
         blurred, and one opaque ``<degraded:proc>`` block standing for
-        storage the callee allocates or owns.  Because the call node is
-        re-evaluated on every fixpoint pass of the caller, values that
-        grow later re-enter the closure — exactly the external-call
-        discipline.
+        storage the callee allocates or owns.  The call node records every
+        value and pointer registry it reads here, so it is re-evaluated
+        when they grow and the new values re-enter the closure — exactly
+        the external-call discipline.
         """
         from .intra import ProcEvaluator
 
@@ -952,6 +1016,7 @@ class InterproceduralMixin:
             havoc_targets.add(blurred)
             pool.add(blurred)
             # pointers already stored in the block extend the closure
+            frame.ptf.state.note_read(base)
             for off, stride in sorted(base.pointer_locations):
                 probe = LocationSet(base, off, stride)
                 for nv in sorted(

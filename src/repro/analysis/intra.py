@@ -1,14 +1,40 @@
 """Intraprocedural evaluation (Figures 8–11).
 
 ``ProcEvaluator.run`` is the paper's ``EvalProc``: iterate over the flow
-graph in reverse postorder until nothing changes, with the two evaluation
-order constraints that make strong updates safe (§4.1):
+graph in reverse-postorder rounds until a round changes nothing, with the
+two evaluation order constraints that make strong updates safe (§4.1):
 
 * never evaluate a node until one of its immediate predecessors has been
   evaluated;
 * never evaluate an assignment until its destination locations are known
   (a dereference of a pointer with no values yet is deferred to a later
-  pass).
+  round).
+
+Rounds are change-driven: a round skips every node none of whose inputs
+changed since its last evaluation.  The per-node records
+(:class:`~repro.memory.pointsto.NodeRecord`) and the ``evaluated`` set
+live on the PTF's points-to state, so they survive revisits of the PTF.
+A node is re-evaluated when
+
+* a block it read was written later (sparse: a per-base write clock;
+  dense: its predecessors' out-maps);
+* the ``pointer_version`` of a block it read moved since the read;
+* ``mark_changed`` invalidated the state (own parameter subsumption,
+  uniqueness downgrade), or — for call nodes — the subsumption epoch
+  moved (synced before each skip test);
+* a φ was inserted at it, or its count of evaluated predecessors changed;
+* it set ``frame.changed`` (deferrals, initial fetches);
+* it is a call node whose callee dependencies moved
+  (``InterproceduralMixin.call_deps_stale``);
+* it consulted the calling context itself, or was deferred, and the PTF
+  is now revisited under another frame.
+
+Only evaluations that cannot change anything are skipped: the
+state-changing evaluations, in order, are those of whole-body passes
+(``tests/analysis/test_change_driven.py`` checks this).  Rounds can
+only be fewer: a whole-body pass may raise ``frame.changed`` in an
+evaluation that changes no state and so force one more round; a skipped
+node cannot.  ``max_passes`` still counts rounds.
 
 Assignments of one word or less copy the source's pointer values; aggregate
 assignments copy the pointer fields at matching offsets (§4.4).  A strong
@@ -33,7 +59,7 @@ from ..ir.expr import (
 )
 from ..ir.nodes import AssignNode, CallNode, EntryNode, ExitNode, MeetNode, Node
 from ..memory.locset import LocationSet
-from ..memory.pointsto import SparseState, normalize_loc
+from ..memory.pointsto import NodeRecord, SparseState, normalize_loc
 from .context import Frame
 from .guards import GuardTripped
 
@@ -68,9 +94,8 @@ class ProcEvaluator:
         self.frame = frame
         self.proc = frame.proc
         self.state = frame.ptf.state
-        self.evaluated: set[int] = set()
-        #: assignment nodes deferred because their destinations are unknown
-        self._deferred_once: set[int] = set()
+        #: lives on the state, so a revisit of the PTF starts from it
+        self.evaluated: set[int] = self.state.evaluated
 
     # ------------------------------------------------------------------
     # EvalProc (Figure 8)
@@ -83,9 +108,9 @@ class ProcEvaluator:
         time (callees analyzed from its call sites count here too) and its
         *exclusive* self-time (inclusive minus nested callee evaluations),
         split by :meth:`Metrics.start_proc`/:meth:`Metrics.end_proc`.  Each
-        full pass over the body bumps the ``eval_passes`` counter, and when
-        tracing is on the evaluation becomes an ``eval`` span containing one
-        ``pass`` complete-event per iteration.
+        RPO round bumps the ``eval_passes`` counter, and when tracing is on
+        the evaluation becomes an ``eval`` span containing one ``pass``
+        complete-event per round.
         """
         metrics = self.analyzer.metrics
         tr = self.analyzer.trace
@@ -99,13 +124,15 @@ class ProcEvaluator:
             )
         passes = 0
         try:
-            passes = self._run_passes()
+            passes = self._run_rounds()
         finally:
             metrics.end_proc(passes)
             if tr is not None:
                 tr.end(f"eval {self.proc.name}", "proc", passes=passes)
 
-    def _run_passes(self) -> int:
+    def _run_rounds(self) -> int:
+        """RPO rounds until one changes nothing; each round evaluates only
+        the nodes :meth:`_stale` reports."""
         budget = self.analyzer.budget
         max_passes = budget.max_passes
         max_entries = budget.max_state_entries
@@ -115,6 +142,8 @@ class ProcEvaluator:
         )
         metrics = self.analyzer.metrics
         tr = self.analyzer.trace
+        state = self.state
+        records = state.records
         passes = 0
         while True:
             if budget.deadline_at is not None and budget.deadline_exceeded():
@@ -125,28 +154,29 @@ class ProcEvaluator:
                     f"exhausted after {passes} passes",
                 )
             t0 = tr.now_us() if tr is not None else 0
-            before = self.state.change_counter
+            before = state.change_counter
             self.frame.changed = False
+            evaluated = skipped = changed = 0
             for node in self.proc.rpo:
                 if isinstance(node, EntryNode):
                     self.evaluated.add(node.uid)
                     continue
-                if not self._predecessor_evaluated(node):
+                preds = self._evaluated_preds(node)
+                if not preds:
                     continue
-                self.state.merge_at(node, self.evaluated)
-                if isinstance(node, (MeetNode, ExitNode)):
-                    # the exit node is a join too: return edges from many
-                    # points converge there, so φ-functions may land on it
-                    self.eval_meet(node)
-                elif isinstance(node, AssignNode):
-                    self.eval_assign(node)
-                elif isinstance(node, CallNode):
-                    self.analyzer.eval_call(self.frame, self, node)
-                self.state.finish_node(node)
-                self.evaluated.add(node.uid)
+                state.sync_epoch()
+                rec = records.get(node.uid)
+                if rec is not None and not self._stale(node, rec, preds):
+                    skipped += 1
+                    continue
+                evaluated += 1
+                changed += self._evaluate(node, preds)
             passes += 1
             metrics.eval_passes += 1
-            converged = self.state.change_counter == before and not self.frame.changed
+            metrics.node_evals += evaluated
+            metrics.node_evals_changed += changed
+            metrics.node_skips += skipped
+            converged = state.change_counter == before and not self.frame.changed
             if converged and forced_nonconvergence:
                 converged = False  # injected: pretend the pass changed state
             if tr is not None:
@@ -158,6 +188,8 @@ class ProcEvaluator:
                     proc=self.proc.name,
                     index=passes,
                     changed=not converged,
+                    evaluated=evaluated,
+                    skipped=skipped,
                 )
             if max_entries is not None and self._state_entries() > max_entries:
                 raise GuardTripped(
@@ -176,15 +208,55 @@ class ProcEvaluator:
                     else f"no fixpoint after {passes} passes",
                 )
 
+    def _stale(self, node: Node, rec: NodeRecord, preds: int) -> bool:
+        """Whether ``node`` may evaluate differently than its last time."""
+        return (
+            rec.preds != preds
+            or (rec.context is not None and rec.context is not self.frame)
+            or self.state.is_stale(node, rec)
+            or (rec.calls is not None and self.analyzer.call_deps_stale(rec.calls))
+        )
+
+    def _evaluate(self, node: Node, preds: int) -> bool:
+        """Evaluate one node, recording its reads; True when it changed
+        the state."""
+        state = self.state
+        frame = self.frame
+        counter = state.change_counter
+        outer_changed = frame.changed
+        frame.changed = False
+        state.begin_node(node, preds)
+        try:
+            state.merge_at(node, self.evaluated)
+            if isinstance(node, (MeetNode, ExitNode)):
+                # the exit node is a join too: return edges from many
+                # points converge there, so φ-functions may land on it
+                self.eval_meet(node)
+            elif isinstance(node, AssignNode):
+                self.eval_assign(node)
+            elif isinstance(node, CallNode):
+                self.analyzer.eval_call(frame, self, node)
+            state.finish_node(node)
+        finally:
+            state.end_node()
+        self.evaluated.add(node.uid)
+        if frame.changed:
+            # a deferral or an initial fetch: evaluate it again next round
+            state.records.pop(node.uid, None)
+        else:
+            frame.changed = outer_changed
+        return state.change_counter != counter
+
     def _state_entries(self) -> int:
         """Size proxy for the procedure state: assigned keys plus lazily
         fetched initial entries (both representations maintain the two)."""
         state = self.state
         return len(state.assigned_keys) + len(getattr(state, "_initial", ()))
 
-    def _predecessor_evaluated(self, node: Node) -> bool:
-        return any(
-            p.uid in self.evaluated or isinstance(p, EntryNode) for p in node.preds
+    def _evaluated_preds(self, node: Node) -> int:
+        evaluated = self.evaluated
+        return sum(
+            1 for p in node.preds if p.uid in evaluated or isinstance(p, EntryNode)
         )
 
     # ------------------------------------------------------------------
@@ -216,9 +288,7 @@ class ProcEvaluator:
         dsts = self.eval_loc(node.dst, node)
         if not dsts:
             # destination locations not yet known (§4.1): defer this node
-            if node.uid not in self._deferred_once:
-                self._deferred_once.add(node.uid)
-                self.frame.changed = True
+            self.frame.defer(node)
             self.eval_value(node.src, node)
             return
         if node.size > WORD_SIZE:
@@ -329,6 +399,7 @@ class ProcEvaluator:
         out = []
         probe = LocationSet(src.base, src.offset, src.stride)
         self.frame.ensure_initial(probe, size)
+        self.state.note_read(src.base)  # the registry decides which fields
         for offset, stride in sorted(src.base.pointer_locations):
             key = LocationSet(src.base, offset, stride)
             if not probe.overlaps(key, width=max(size, 1), other_width=1):

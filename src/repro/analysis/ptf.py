@@ -174,6 +174,9 @@ class PTF:
         self._summary_cache: Optional[dict] = None
         self._summary_version = -1
         self.summary_generation = 0
+        #: bumped by ``reset``: tells a caller's record that the state it
+        #: read the summary from was replaced
+        self.generation = 0
         self.analyzing = False
 
     def _new_state(self) -> PointsToState:
@@ -252,6 +255,7 @@ class PTF:
         this PTF instead of allocating one per fixpoint iteration.
         """
         self.state = self._new_state()
+        self.generation += 1
         self.params = []
         self.initial_entries = []
         self.fnptr_domain = {}

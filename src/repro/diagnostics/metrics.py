@@ -22,8 +22,13 @@ Counter semantics:
   (§4.1);
 * ``initial_fetches`` — lazy initial-value fetches that added an entry to
   a PTF's input domain (§3.2);
-* ``eval_passes`` — full reverse-postorder passes executed by
-  ``ProcEvaluator.run``;
+* ``eval_passes`` — RPO rounds executed by ``ProcEvaluator.run``; a
+  round evaluates only the nodes whose inputs changed;
+* ``node_evals`` — node evaluations performed by those rounds;
+* ``node_evals_changed`` — the node evaluations that changed their
+  state's change counter (the rest confirmed a fixpoint);
+* ``node_skips`` — nodes a round skipped because nothing they read had
+  changed since their last evaluation;
 * ``guard_trips`` — resource guards that fired (deadline, pass budget,
   call depth, PTF cap, state-entry cap, injected faults);
 * ``degraded_calls`` — call sites summarized by the conservative havoc
@@ -68,6 +73,9 @@ COUNTERS = (
     "weak_updates",
     "initial_fetches",
     "eval_passes",
+    "node_evals",
+    "node_evals_changed",
+    "node_skips",
     "guard_trips",
     "degraded_calls",
     "ptf_generalizations",

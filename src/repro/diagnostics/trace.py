@@ -81,8 +81,8 @@ EVENT_VOCABULARY: dict[str, str] = {
     "analyze_ptf": "B/E (re)analysis of a callee PTF from a call site; "
                    "args: proc, ptf, site",
     # -- complete events (ph X) ------------------------------------------
-    "pass": "X one full reverse-postorder fixpoint pass; "
-            "args: proc, index, changed",
+    "pass": "X one reverse-postorder fixpoint round; "
+            "args: proc, index, changed, evaluated, skipped",
     # -- instants (ph i) -------------------------------------------------
     "ptf.create": "i GetPTF made a new PTF (no candidate matched); "
                   "args: proc, ptf, pattern (of the requesting context)",

@@ -55,6 +55,21 @@ terminates after at most one cold step.  The key list consulted by
 monotone ``pointer_version``, because the pointer-location registry
 changes far more rarely than the points-to values do.
 
+Change tracking (for change-driven evaluation)
+----------------------------------------------
+
+:mod:`repro.analysis.intra` re-evaluates a node only when something it
+read has changed since its last evaluation, so each state keeps the
+per-node :class:`NodeRecord` table, the ``evaluated`` set, and a write
+clock.  While a node is under evaluation (``begin_node``/``end_node``)
+every read records its block and that block's ``pointer_version`` at the
+first read.  The sparse state stamps each written base with the clock
+(``_note_write``); the dense state stamps each node whose out-map
+changed, since a dense node reads only its predecessors' out-maps.
+``mark_changed`` invalidates every record; a move of the subsumption
+epoch (another PTF's parameters were subsumed) invalidates the records
+of call nodes; a φ inserted at a meet node drops that node's record.
+
 Provenance
 ----------
 
@@ -81,13 +96,14 @@ from typing import Iterable, Optional
 
 from ..diagnostics import Metrics
 from ..ir.dominators import iterated_frontier
-from ..ir.nodes import MeetNode, Node
+from ..ir.nodes import CallNode, MeetNode, Node
 from . import blocks as _blocks
 from .blocks import ExtendedParameter, MemoryBlock
 from .locset import LocationSet, intern_locset
 
 __all__ = [
     "Values",
+    "NodeRecord",
     "DenseState",
     "SparseState",
     "normalize_loc",
@@ -175,6 +191,34 @@ def _register(loc: LocationSet) -> bool:
     return loc.base.register_pointer_location(loc.offset, loc.stride)
 
 
+class NodeRecord:
+    """What one node's last evaluation depended on.
+
+    ``seq`` is the state's write clock when the evaluation began and
+    ``preds`` its count of evaluated predecessors.  ``reads`` maps each
+    block whose contents or pointer registry it consulted to the block's
+    ``pointer_version`` at the first read.  ``calls`` holds the callee
+    dependencies the interprocedural layer recorded (see
+    ``InterproceduralMixin.call_deps_stale``), or None.  ``context`` is
+    the frame whose calling context the evaluation consulted beyond the
+    state (an unbound parameter, a function pointer passed in), or None.
+    """
+
+    __slots__ = ("seq", "preds", "reads", "calls", "context")
+
+    def __init__(self, seq: int, preds: int) -> None:
+        self.seq = seq
+        self.preds = preds
+        self.reads: dict[MemoryBlock, int] = {}
+        self.calls: Optional[list[tuple]] = None
+        self.context = None
+
+    def add_call(self, dep: tuple) -> None:
+        if self.calls is None:
+            self.calls = []
+        self.calls.append(dep)
+
+
 class PointsToState:
     """Interface shared by the dense and sparse representations."""
 
@@ -203,6 +247,21 @@ class PointsToState:
         #: ProvenanceLog`; when None (the default) every provenance hook
         #: is a single ``is not None`` check — same contract as tracing
         self.provenance = provenance
+        # -- change tracking (see the module docstring) --
+        #: uids of the nodes evaluated at least once; survives revisits
+        self.evaluated: set[int] = set()
+        #: node uid -> the record of its last evaluation
+        self.records: dict[int, NodeRecord] = {}
+        #: record of the node under evaluation (None between nodes)
+        self.current: Optional[NodeRecord] = None
+        #: write clock; every recorded write advances it
+        self._clock = 0
+        #: clock value of the last global invalidation
+        self._invalidated = 0
+        #: clock value of the last subsumption-epoch move seen
+        self._epoch_moved = 0
+        #: snapshot of the global subsumption epoch (see ``sync_epoch``)
+        self._keys_epoch = _blocks.subsumption_epoch()
 
     # -- initial values (procedure inputs, recorded at the entry node) --
 
@@ -271,7 +330,66 @@ class PointsToState:
         return out
 
     def mark_changed(self) -> None:
+        """Non-local change (parameter subsumption, uniqueness downgrade):
+        every node must be re-evaluated."""
         self.change_counter += 1
+        self._invalidate()
+
+    # -- change tracking ---------------------------------------------------
+
+    def begin_node(self, node: Node, preds: int) -> None:
+        """Start recording the reads of one node evaluation."""
+        rec = NodeRecord(self._clock, preds)
+        self.records[node.uid] = rec
+        self.current = rec
+
+    def end_node(self) -> None:
+        self.current = None
+
+    def note_read(self, block: MemoryBlock) -> None:
+        """Record that the node under evaluation consulted ``block``."""
+        rec = self.current
+        if rec is not None and block not in rec.reads:
+            rec.reads[block] = block.pointer_version
+
+    def is_stale(self, node: Node, rec: NodeRecord) -> bool:
+        """Whether anything ``rec`` read may have changed since."""
+        if self._invalidated > rec.seq:
+            return True
+        if self._epoch_moved > rec.seq and isinstance(node, CallNode):
+            return True
+        for block, version in rec.reads.items():
+            if block.pointer_version != version:
+                return True
+        return self._written_since(node, rec)
+
+    def _written_since(self, node: Node, rec: NodeRecord) -> bool:
+        raise NotImplementedError
+
+    def _invalidate(self) -> None:
+        self._clock += 1
+        self._invalidated = self._clock
+
+    def sync_epoch(self) -> None:
+        """Catch up with parameter subsumptions performed since the last
+        sync (the state cannot observe ``subsumed_by`` assignments
+        directly).  Cheap when nothing happened (one module-attribute
+        compare).
+
+        A subsumption of this PTF's own parameters comes with
+        ``mark_changed``; a move seen only here subsumed another PTF's
+        parameters, which no key or value of this state names.  Only call
+        nodes look at other PTFs (matching their input domains,
+        translating their summaries), so the move invalidates those."""
+        if self._keys_epoch != _blocks._subsumption_epoch:
+            self._keys_epoch = _blocks._subsumption_epoch
+            self._renormalize()
+            self._clock += 1
+            self._epoch_moved = self._clock
+
+    def _renormalize(self) -> None:
+        """Representation hook for ``sync_epoch``."""
+        return
 
     # -- memory accounting -------------------------------------------------
 
@@ -318,6 +436,9 @@ class DenseState(PointsToState):
         self._in: dict[int, dict[LocationSet, frozenset]] = {}
         #: node uid -> the out map from the previous pass (change detection)
         self._prev_out: dict[int, Optional[dict]] = {}
+        #: node uid -> write clock when its out map (the entry's: the
+        #: initial map) last changed
+        self._out_seq: dict[int, int] = {}
 
     # -- initial ----------------------------------------------------------
 
@@ -332,7 +453,7 @@ class DenseState(PointsToState):
         new = vals if old is None else intern_values(old | vals)
         if old != new:
             self._initial[loc] = new
-            self.mark_changed()
+            self._note_out(self.entry)
             if self.provenance is not None:
                 self.provenance.tag_initial(loc, vals, self.entry)
 
@@ -376,7 +497,21 @@ class DenseState(PointsToState):
         if node is self.entry:
             return
         if self._out.get(node.uid) != self._prev_out.get(node.uid):
-            self.mark_changed()
+            self._note_out(node)
+
+    def _note_out(self, node: Node) -> None:
+        self.change_counter += 1
+        self._clock += 1
+        self._out_seq[node.uid] = self._clock
+
+    def _written_since(self, node: Node, rec: NodeRecord) -> bool:
+        # a dense node reads only its in-map: its predecessors' out-maps
+        out_seq = self._out_seq
+        seq = rec.seq
+        for pred in node.preds:
+            if out_seq.get(pred.uid, 0) > seq:
+                return True
+        return False
 
     def assign(
         self,
@@ -508,10 +643,8 @@ class SparseState(PointsToState):
         #: keyed by the block's monotone pointer_version, so *not* cleared
         #: on value changes — the registry grows far more rarely
         self._overlap_keys: dict[tuple, tuple[LocationSet, ...]] = {}
-        #: snapshot of the global subsumption epoch; when it moves, def keys
-        #: are renormalized and the memo partitions dropped (lazily — the
-        #: state cannot observe ``subsumed_by`` assignments directly)
-        self._keys_epoch = _blocks.subsumption_epoch()
+        #: base block -> write clock of its last def/φ/initial change
+        self._written: dict[MemoryBlock, int] = {}
 
     # -- initial ---------------------------------------------------------
 
@@ -551,8 +684,10 @@ class SparseState(PointsToState):
                 self.metrics.phi_insertions += 1
                 # a pending φ is only visible to lookups once assign_phi
                 # records its value (which invalidates), so bump the
-                # fixpoint counter without dropping any cache partition
+                # fixpoint counter without dropping any cache partition;
+                # the meet node must evaluate the new φ
                 self.change_counter += 1
+                self.records.pop(meet.uid, None)
 
     # -- transfer ---------------------------------------------------------
 
@@ -575,6 +710,7 @@ class SparseState(PointsToState):
             vals = vals | old[0]
         if not strong:
             # a weak update must preserve what was already visible here
+            self.note_read(loc.base)
             vals = vals | self._search(loc, node, inclusive=False)
         new_entry = (intern_values(vals), strong, size if strong else 0)
         if old != new_entry:
@@ -615,6 +751,7 @@ class SparseState(PointsToState):
     def lookup(self, loc: LocationSet, node: Node, before: bool = True) -> frozenset:
         self.metrics.lookups += 1
         loc = normalize_loc(loc)
+        self.note_read(loc.base)
         return self._search(loc, node, inclusive=not before)
 
     def _defs_at(
@@ -631,9 +768,12 @@ class SparseState(PointsToState):
 
     def _note_write(self, loc: LocationSet) -> None:
         """A def/φ/initial entry for ``loc`` changed: bump the fixpoint
-        counter and drop the memo partition of ``loc.base`` (cached answers
-        for other bases cannot depend on this entry)."""
+        counter, stamp ``loc.base`` with the write clock, and drop its memo
+        partition (cached answers for other bases cannot depend on this
+        entry)."""
         self.change_counter += 1
+        self._clock += 1
+        self._written[loc.base] = self._clock
         uid = loc.base.uid
         self._search_cache.pop(uid, None)
         self._fence_cache.pop(uid, None)
@@ -646,24 +786,23 @@ class SparseState(PointsToState):
         ``_overlap_keys`` table survives: it depends only on the
         pointer-location registry, whose monotone version is part of its
         keys."""
-        self.change_counter += 1
+        super().mark_changed()
+        self._renormalize()
+        self._keys_epoch = _blocks.subsumption_epoch()
+
+    def _renormalize(self) -> None:
         self._search_cache.clear()
         self._fence_cache.clear()
         self._overlap_cache.clear()
         self._renormalize_def_keys()
-        self._keys_epoch = _blocks.subsumption_epoch()
 
-    def _sync_keys(self) -> None:
-        """Catch up with subsumptions performed since the last lookup:
-        renormalize def keys and drop the memo partitions.  Cheap when
-        nothing happened (one module-attribute compare)."""
-        epoch = _blocks._subsumption_epoch
-        if self._keys_epoch != epoch:
-            self._keys_epoch = epoch
-            self._search_cache.clear()
-            self._fence_cache.clear()
-            self._overlap_cache.clear()
-            self._renormalize_def_keys()
+    def _written_since(self, node: Node, rec: NodeRecord) -> bool:
+        written = self._written
+        seq = rec.seq
+        for block in rec.reads:
+            if written.get(block, 0) > seq:
+                return True
+        return False
 
     def _renormalize_def_keys(self) -> None:
         """Rewrite def keys recorded before their base was subsumed.
@@ -694,7 +833,7 @@ class SparseState(PointsToState):
         ``fence`` (a strong-update node) bounds the search: defs at the
         fence itself are visible, anything strictly before it is not.
         """
-        self._sync_keys()
+        self.sync_epoch()
         if not self.lookup_cache:
             return self._search_walk(loc, node, inclusive, fence)
         metrics = self.metrics
@@ -788,7 +927,7 @@ class SparseState(PointsToState):
         reads (the value *after* the node executes) also see a covering
         strong update at the node itself.
         """
-        self._sync_keys()
+        self.sync_epoch()
         if not self.lookup_cache:
             return self._fence_walk(loc, node, width, inclusive)
         metrics = self.metrics
@@ -902,8 +1041,10 @@ class SparseState(PointsToState):
     ) -> frozenset:
         metrics = self.metrics
         metrics.lookups += 1
-        self._sync_keys()
+        self.sync_epoch()
         loc = normalize_loc(loc)
+        # the answer depends on the base's defs *and* its registry
+        self.note_read(loc.base)
         by_node = None
         if self.lookup_cache:
             cache = self._overlap_cache.get(loc.base.uid)

@@ -1,6 +1,6 @@
 """The committed baseline snapshots must match a fresh analysis.
 
-CI's ``regression-gate`` job diffs fresh snapshots of three benchmarks
+CI's ``regression-gate`` job diffs fresh snapshots of seven benchmarks
 against ``tests/baselines/snapshots/*.json``; this test runs the same
 comparison in-process, so a change that moves a gated digest fails the
 ordinary test suite *before* it reaches the CI gate — with the semantic
@@ -9,7 +9,7 @@ differ's attribution in the failure message.
 If the change is an intended precision improvement, regenerate the
 baselines (and review the diff!)::
 
-    for n in allroots grep diff; do
+    for n in allroots grep diff compiler dbase football interp; do
       python -m repro snapshot benchmarks/programs/$n.c \\
         --name $n -o tests/baselines/snapshots/$n.json
     done
@@ -26,7 +26,9 @@ from repro.diagnostics.snapshot import SNAPSHOT_FORMAT, build_snapshot
 from repro.memory.pointsto import reset_interning
 
 BASELINE_DIR = os.path.join(os.path.dirname(__file__), "snapshots")
-GATED = ("allroots", "grep", "diff")
+#: the three small programs plus the four with the deepest fixpoints
+#: (recursive PTF revisits, subsumption, the largest node counts)
+GATED = ("allroots", "grep", "diff", "compiler", "dbase", "football", "interp")
 
 
 def load_baseline(name):

@@ -61,6 +61,8 @@ class TestStatsJson:
         assert stats["state_kind"] == "sparse"
         assert stats["counters"]["lookups"] > 0
         assert stats["counters"]["eval_passes"] > 0
+        assert stats["counters"]["node_evals"] > 0
+        assert "node_skips" in stats["counters"]
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
         assert "analysis" in stats["timers"]["phases"]
         assert "main" in stats["timers"]["procedures"]

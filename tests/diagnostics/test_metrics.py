@@ -154,8 +154,20 @@ class TestSerialization:
         assert back["timers"]["procedure_passes"]["main"] == 1
         assert "dom_steps_per_lookup" in back["derived"]
 
+    def test_node_counters_serialize(self):
+        m = Metrics()
+        m.node_evals, m.node_evals_changed, m.node_skips = 7, 2, 5
+        back = json.loads(json.dumps(m.as_dict()))["counters"]
+        assert (back["node_evals"], back["node_evals_changed"], back["node_skips"]) == (
+            7,
+            2,
+            5,
+        )
+
     def test_merge_folds_counters_and_timers(self):
         a, b = Metrics(), Metrics()
+        a.node_evals, b.node_evals = 4, 6
+        b.node_skips = 3
         a.lookups, b.lookups = 2, 3
         a.add_proc_time("f", 1.0, passes=1)
         b.add_proc_time("f", 2.0, passes=1, self_seconds=0.5)
@@ -163,6 +175,7 @@ class TestSerialization:
         b.phase_seconds["analysis"] = 1.5
         a.merge(b)
         assert a.lookups == 5
+        assert (a.node_evals, a.node_skips) == (10, 3)
         assert a.proc_seconds == {"f": 3.0, "g": 4.0}
         assert a.proc_self_seconds == {"f": 1.5, "g": 4.0}
         assert a.proc_passes == {"f": 2}
@@ -203,6 +216,17 @@ class TestEndToEndWiring:
         assert stats["lookup_cache"] is True
         assert stats["counters"]["lookups"] == m.lookups
         json.dumps(stats)  # must be serializable as-is
+
+    def test_node_counters_track_the_rounds(self):
+        program = load_program(SOURCE, "m.c", "m")
+        analyzer = analyze(program, AnalyzerOptions())
+        m = analyzer.metrics
+        assert 0 < m.node_evals_changed <= m.node_evals
+        assert m.node_skips > 0  # set() is revisited with unchanged inputs
+        counters = analyzer.stats_dict()["counters"]
+        for name in ("node_evals", "node_evals_changed", "node_skips"):
+            assert counters[name] == getattr(m, name)
+            assert analyzer.stats[name] == getattr(m, name)
 
     def test_disabled_cache_counts_no_probes(self):
         program = load_program(SOURCE, "m.c", "m")

@@ -137,6 +137,15 @@ class TestChromeSchema:
         assert "initial_fetch" in names
         assert any(n.startswith("eval ") for n in names)
 
+    def test_pass_events_count_evaluated_and_skipped_nodes(self):
+        tracer, analyzer = _traced_run()
+        passes = [e for e in tracer.events if e["name"] == "pass"]
+        assert passes
+        assert all({"evaluated", "skipped"} <= set(e["args"]) for e in passes)
+        m = analyzer.metrics
+        assert sum(e["args"]["evaluated"] for e in passes) == m.node_evals
+        assert sum(e["args"]["skipped"] for e in passes) == m.node_skips
+
     def test_ptf_reuse_event_carries_alias_pattern(self):
         tracer, _ = _traced_run()
         reuses = [e for e in tracer.events if e["name"] == "ptf.reuse"]
